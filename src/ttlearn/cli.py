@@ -13,13 +13,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import tasks, tensor_ops as top
-from .config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from .penalties import Penalty
-from .solver import ADMMConfig, SolverError
+from .config import TRANSFORMS, ConfigError, ExperimentConfig, config_from_dict, load_config
+from .penalties import KINDS as PENALTY_KINDS
+from .solver import SolverError
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
 from .transforms import data_driven_transform
 
@@ -35,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--penalty", choices=("mcp", "scad", "log", "convex"))
+    p.add_argument("--penalty", choices=PENALTY_KINDS)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta", type=float)
@@ -44,7 +45,7 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--tau", type=float)
     p.add_argument("--xi", type=float)
     p.add_argument("--box-c", dest="box_c", type=float)
-    p.add_argument("--transform", choices=("identity", "dct", "data"))
+    p.add_argument("--transform", choices=TRANSFORMS)
     p.add_argument("--max-outer", dest="max_outer", type=int)
     p.add_argument("--tol-outer", dest="tol_outer", type=float)
     p.add_argument("--max-inner", dest="max_inner", type=int)
@@ -125,21 +126,16 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _build_config(args, task: str) -> ExperimentConfig:
-    overrides = {}
-    for name in (
-        "penalty", "lam", "gamma", "beta", "rho", "xi", "box_c", "eta", "tau",
-        "max_outer", "tol_outer", "max_inner", "tol_inner", "seed", "transform",
-        "sr", "sigma", "n_train", "n_test", "rank", "pilot_max_outer",
-    ):
-        value = getattr(args, name, None)
+    # a flag's dest is the name of the config field it sets
+    overrides = {"task": task}
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "dims", None):
-        overrides["dims"] = _parse_dims(args.dims)
-    if args.config:
-        cfg = load_config(args.config, task=task, **overrides)
+            overrides[f.name] = _parse_dims(value) if f.name == "dims" else value
+    if getattr(args, "config", None):
+        cfg = load_config(args.config, **overrides)
     else:
-        cfg = config_from_dict({"task": task}, **overrides)
+        cfg = config_from_dict({}, **overrides)
     # file locations from the config's paths block back any flag left unset
     for key, value in cfg.paths.items():
         if getattr(args, key, None) in (None, False):
@@ -147,13 +143,17 @@ def _build_config(args, task: str) -> ExperimentConfig:
     return cfg
 
 
-def _penalty(cfg: ExperimentConfig) -> Penalty:
-    return Penalty(kind=cfg.penalty, lam=cfg.lam, gamma=cfg.gamma)
-
-
-def _admm(cfg: ExperimentConfig) -> ADMMConfig:
-    return ADMMConfig(
-        eta=cfg.eta, tau=cfg.tau, max_inner=cfg.max_inner, tol_inner=cfg.tol_inner
+def _driver_kwargs(cfg: ExperimentConfig) -> dict:
+    """Keyword arguments shared by ``tasks.run_completion`` and ``tasks.run_classification``."""
+    return dict(
+        transform_kind=cfg.transform,
+        rho=cfg.resolved_rho(),
+        xi=cfg.xi,
+        box_c=cfg.resolved_box_c(),
+        admm_cfg=cfg.build_admm(),
+        max_outer=cfg.max_outer,
+        tol_outer=cfg.tol_outer,
+        pilot_max_outer=cfg.pilot_max_outer,
     )
 
 
@@ -209,17 +209,8 @@ def _run_complete(args) -> dict:
         if args.truth:
             truth = read_tensor(args.truth)
 
-    common = dict(
-        transform_kind=cfg.transform,
-        rho=cfg.resolved_rho(),
-        xi=cfg.xi,
-        box_c=cfg.resolved_box_c(),
-        admm_cfg=_admm(cfg),
-        max_outer=cfg.max_outer,
-        tol_outer=cfg.tol_outer,
-        ground_truth=truth,
-        pilot_max_outer=cfg.pilot_max_outer,
-    )
+    common = dict(_driver_kwargs(cfg), ground_truth=truth)
+    pen = cfg.build_penalty()
     result = {"task": "complete", "config": cfg.echo()}
 
     if args.lam_grid or args.beta_grid:
@@ -228,8 +219,7 @@ def _run_complete(args) -> dict:
         sweep = []
         for lam in lams:
             for beta in betas:
-                pen = Penalty(kind=cfg.penalty, lam=lam, gamma=cfg.gamma)
-                _, info = tasks.run_completion(y_obs, mask, pen, beta, **common)
+                _, info = tasks.run_completion(y_obs, mask, replace(pen, lam=lam), beta, **common)
                 entry = {"lambda": lam, "beta": beta, "final_objective": info["final_objective"]}
                 if "metrics" in info:
                     entry["metrics"] = info["metrics"]
@@ -239,7 +229,7 @@ def _run_complete(args) -> dict:
             print("note: --output is ignored in grid mode", file=sys.stderr)
         return result
 
-    recovered, info = tasks.run_completion(y_obs, mask, _penalty(cfg), cfg.beta, **common)
+    recovered, info = tasks.run_completion(y_obs, mask, pen, cfg.beta, **common)
     if args.output:
         write_tensor(args.output, recovered)
         result["output"] = args.output
@@ -264,20 +254,8 @@ def _run_classify(args) -> dict:
             test_samples, test_labels = _read_sample_stack(args.test_samples, args.test_labels)
 
     coeff, info = tasks.run_classification(
-        train_samples,
-        train_labels,
-        _penalty(cfg),
-        cfg.beta,
-        transform_kind=cfg.transform,
-        rho=cfg.resolved_rho(),
-        xi=cfg.xi,
-        box_c=cfg.resolved_box_c(),
-        admm_cfg=_admm(cfg),
-        max_outer=cfg.max_outer,
-        tol_outer=cfg.tol_outer,
-        test_samples=test_samples,
-        test_labels=test_labels,
-        pilot_max_outer=cfg.pilot_max_outer,
+        train_samples, train_labels, cfg.build_penalty(), cfg.beta,
+        test_samples=test_samples, test_labels=test_labels, **_driver_kwargs(cfg),
     )
     result = {"task": "classify", "config": cfg.echo()}
     if args.output:
@@ -288,14 +266,7 @@ def _run_classify(args) -> dict:
 
 
 def _run_synth(args) -> dict:
-    overrides = {"task": args.task}
-    for name in ("rank", "sr", "sigma", "seed", "n_train", "n_test", "transform"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if args.dims:
-        overrides["dims"] = _parse_dims(args.dims)
-    cfg = config_from_dict({}, **overrides)
+    cfg = _build_config(args, args.task)
     prefix = args.out_prefix
     transform = _generator_transform(cfg)
     manifest = {"task": args.task, "seed": cfg.seed, "dims": list(cfg.dims), "rank": cfg.rank}

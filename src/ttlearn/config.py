@@ -1,15 +1,18 @@
-"""Experiment configuration: defaults, JSON loading, and range validation.
+"""Experiment configuration: defaults, JSON loading, and validation.
 
-Every numeric range restates the invariant of the module that owns the
-parameter, so a bad value is rejected at load time with its field name.
+The ranges of the penalty and solver parameters belong to ``Penalty``,
+``PMMConfig`` and ``ADMMConfig``: validation builds those objects and reports
+their rejection under the JSON key. The experiment-only fields (task,
+transform, sampling and generator sizes, paths) are checked here. Every value
+is type-checked on load, so a bad value is rejected with its field name.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-from .penalties import KINDS as PENALTY_KINDS
-from .solver import GOLDEN_STEP_LIMIT
+from .penalties import ParameterError, Penalty
+from .solver import ADMMConfig, PMMConfig
 
 TASKS = ("complete", "classify")
 TRANSFORMS = ("identity", "dct", "data")
@@ -17,11 +20,22 @@ TRANSFORMS = ("identity", "dct", "data")
 # rho differs between the two tasks; everything else shares one default
 TASK_RHO = {"complete": 10.0, "classify": 100.0}
 
+# dataclass attribute or constructor argument -> JSON key (only where they differ)
+_JSON_KEYS = {"lam": "lambda", "kind": "penalty"}
+
 
 class ConfigError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"config field {fieldname!r}: {message}")
         self.fieldname = fieldname
+
+
+def _built(cls, **kwargs):
+    """``cls(**kwargs)``, with an out-of-range argument reported as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(_JSON_KEYS.get(exc.name, exc.name), exc.reason) from exc
 
 
 @dataclass
@@ -33,14 +47,14 @@ class ExperimentConfig:
     transform: str = "dct"
     beta: float = 1.0
     rho: float | None = None  # task default when None
-    xi: float = 0.1
+    xi: float = PMMConfig.xi
     box_c: float | None = None  # auto from data (complete) / 10 (classify)
-    eta: float = 10.0
-    tau: float = 1.618
-    max_outer: int = 100
-    tol_outer: float = 5e-4
-    max_inner: int = 100
-    tol_inner: float = 3e-3
+    eta: float = ADMMConfig.eta
+    tau: float = ADMMConfig.tau
+    max_outer: int = PMMConfig.max_outer
+    tol_outer: float = PMMConfig.tol_outer
+    max_inner: int = ADMMConfig.max_inner
+    tol_inner: float = ADMMConfig.tol_inner
     sr: float = 0.4
     sigma: float = 0.01
     seed: int = 0
@@ -49,7 +63,7 @@ class ExperimentConfig:
     rank: int = 2
     dims: tuple[int, int, int] = (30, 30, 10)
     pilot_max_outer: int | None = None
-    paths: dict = field(default_factory=dict)
+    paths: dict[str, str] = field(default_factory=dict)
 
     def resolved_rho(self) -> float:
         return TASK_RHO[self.task] if self.rho is None else self.rho
@@ -59,39 +73,33 @@ class ExperimentConfig:
             return 10.0
         return self.box_c
 
+    def build_penalty(self) -> Penalty:
+        return _built(Penalty, kind=self.penalty, lam=self.lam, gamma=self.gamma)
+
+    def build_admm(self) -> ADMMConfig:
+        return _built(
+            ADMMConfig,
+            eta=self.eta, tau=self.tau, max_inner=self.max_inner, tol_inner=self.tol_inner,
+        )
+
     def validate(self) -> "ExperimentConfig":
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}")
-        if self.penalty not in PENALTY_KINDS:
-            raise ConfigError("penalty", f"must be one of {PENALTY_KINDS}")
-        if not self.lam > 0:
-            raise ConfigError("lambda", "must be positive")
-        if self.penalty in ("mcp", "log") and not self.gamma > 0:
-            raise ConfigError("gamma", f"must be positive for {self.penalty}")
-        if self.penalty == "scad" and not self.gamma > 1:
-            raise ConfigError("gamma", "must exceed 1 for scad")
+        self.build_penalty()
         if self.transform not in TRANSFORMS:
             raise ConfigError("transform", f"must be one of {TRANSFORMS}")
-        if self.beta < 0:
-            raise ConfigError("beta", "must be nonnegative")
-        if self.rho is not None and not self.rho > 0:
-            raise ConfigError("rho", "must be positive")
-        if not 0 < self.xi < 0.5:
-            raise ConfigError("xi", "must lie in (0, 1/2)")
-        if self.box_c is not None and not self.box_c > 0:
-            raise ConfigError("box_c", "must be positive")
-        if not self.eta > 0:
-            raise ConfigError("eta", "must be positive")
-        if not 0 < self.tau < GOLDEN_STEP_LIMIT:
-            raise ConfigError("tau", f"must lie in (0, {GOLDEN_STEP_LIMIT:.9f})")
-        if self.max_outer < 0:
-            raise ConfigError("max_outer", "must be nonnegative")
-        if not self.tol_outer > 0:
-            raise ConfigError("tol_outer", "must be positive")
-        if self.max_inner < 1:
-            raise ConfigError("max_inner", "must be at least 1")
-        if not self.tol_inner > 0:
-            raise ConfigError("tol_inner", "must be positive")
+        # an unset box_c is derived from the data at run time; any positive
+        # stand-in lets PMMConfig check the other outer-loop parameters
+        _built(
+            PMMConfig,
+            rho=self.resolved_rho(),
+            beta=self.beta,
+            box_c=1.0 if self.box_c is None else self.box_c,
+            xi=self.xi,
+            max_outer=self.max_outer,
+            tol_outer=self.tol_outer,
+        )
+        self.build_admm()
         if not 0 < self.sr <= 1:
             raise ConfigError("sr", "must lie in (0, 1]")
         if self.sigma < 0:
@@ -129,17 +137,42 @@ class ExperimentConfig:
 _KEY_ALIASES = {"lambda": "lam"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# field annotation less any "| None" -> (test of a loaded value, what the value must be)
+_TYPE_RULES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "tuple[int, int, int]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)), "a list of integers"
+    ),
+    "dict[str, str]": (
+        lambda v: isinstance(v, dict) and all(isinstance(p, str) for p in v.values()),
+        "an object of path strings",
+    ),
+}
+
+
 def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
+    annotations = {f.name: f.type for f in fields(ExperimentConfig)}
     values: dict = {}
     for key, value in raw.items():
         attr = _KEY_ALIASES.get(key, key)
-        if attr not in known:
+        if attr not in annotations:
             raise ConfigError(key, "unknown field")
         values[attr] = value
     values.update(overrides)
+    for attr, value in values.items():
+        optional = annotations[attr].endswith(" | None")
+        accepts, expected = _TYPE_RULES[annotations[attr].removesuffix(" | None")]
+        if not (accepts(value) or optional and value is None):
+            expected += " or null" if optional else ""
+            raise ConfigError(_JSON_KEYS.get(attr, attr), f"must be {expected}")
     if "dims" in values:
-        values["dims"] = tuple(int(d) for d in values["dims"])
+        values["dims"] = tuple(values["dims"])
     cfg = ExperimentConfig(**values)
     return cfg.validate()
 

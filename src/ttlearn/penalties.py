@@ -23,6 +23,14 @@ from .tensor_ops import (
 KINDS = ("mcp", "scad", "log", "convex")
 
 
+class ParameterError(ValueError):
+    """Out-of-range constructor argument ``name``; reads "<name> <reason>" by default."""
+
+    def __init__(self, name: str, reason: str, message: str | None = None):
+        super().__init__(message or f"{name} {reason}")
+        self.name, self.reason = name, reason
+
+
 @dataclass(frozen=True)
 class Penalty:
     """Scalar penalty family: one of ``mcp``, ``scad``, ``log``, ``convex``.
@@ -38,13 +46,14 @@ class Penalty:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
+            message = f"unknown penalty kind {self.kind!r}; expected one of {KINDS}"
+            raise ParameterError("kind", f"must be one of {KINDS}", message)
         if not self.lam > 0:
-            raise ValueError("lam must be positive")
+            raise ParameterError("lam", "must be positive")
         if self.kind in ("mcp", "log") and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive for {self.kind}")
+            raise ParameterError("gamma", f"must be positive for {self.kind}")
         if self.kind == "scad" and not self.gamma > 1:
-            raise ValueError("gamma must exceed 1 for scad")
+            raise ParameterError("gamma", "must exceed 1 for scad")
 
     @property
     def k0(self) -> float:
@@ -142,6 +151,14 @@ def dc_smooth_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> floa
     return float(pen.s2(transformed_singular_values(x, u)).sum())
 
 
+def _spectral_rebuild(x: np.ndarray, u: OrthogonalTransform, f) -> np.ndarray:
+    """Rebuild ``x`` with ``f`` applied to every transformed-slice singular value."""
+    batch = _slices_first(apply_transform(x, u))
+    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
+    core = (left * f(sigma)[:, None, :]) @ right_h
+    return inverse_transform(_slices_last(core), u)
+
+
 def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> np.ndarray:
     """Gradient of :func:`dc_smooth_value`.
 
@@ -151,10 +168,7 @@ def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> np.nd
     x = np.asarray(x, dtype=float)
     if pen.kind == "convex":
         return np.zeros_like(x)
-    batch = _slices_first(apply_transform(x, u))
-    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
-    core = (left * pen.s2_prime(sigma)[:, None, :]) @ right_h
-    return inverse_transform(_slices_last(core), u)
+    return _spectral_rebuild(x, u, pen.s2_prime)
 
 
 def svt(a: np.ndarray, tau: float, u: OrthogonalTransform) -> np.ndarray:
@@ -168,8 +182,4 @@ def svt(a: np.ndarray, tau: float, u: OrthogonalTransform) -> np.ndarray:
         raise ValueError("threshold must be nonnegative")
     if tau == 0:
         return a.copy()
-    batch = _slices_first(apply_transform(a, u))
-    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
-    shrunk = np.maximum(sigma - tau, 0.0)
-    core = (left * shrunk[:, None, :]) @ right_h
-    return inverse_transform(_slices_last(core), u)
+    return _spectral_rebuild(a, u, lambda sigma: np.maximum(sigma - tau, 0.0))

@@ -15,11 +15,11 @@ relative KKT residual; the outer loop stops on the relative step norm.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .penalties import Penalty, dc_smooth_grad, penalty_value, svt
+from .penalties import ParameterError, Penalty, dc_smooth_grad, penalty_value, svt
 from .tensor_ops import fro_norm, inf_norm, project_box
 from .transforms import OrthogonalTransform
 
@@ -64,17 +64,17 @@ class PMMConfig:
 
     def __post_init__(self):
         if not self.rho > 0:
-            raise ValueError("rho must be positive")
+            raise ParameterError("rho", "must be positive")
         if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+            raise ParameterError("beta", "must be nonnegative")
         if not self.box_c > 0:
-            raise ValueError("box_c must be positive")
+            raise ParameterError("box_c", "must be positive")
         if not 0 < self.xi < 0.5:
-            raise ValueError("xi must lie in (0, 1/2)")
+            raise ParameterError("xi", "must lie in (0, 1/2)")
         if self.max_outer < 0:
-            raise ValueError("max_outer must be nonnegative")
+            raise ParameterError("max_outer", "must be nonnegative")
         if not self.tol_outer > 0:
-            raise ValueError("tol_outer must be positive")
+            raise ParameterError("tol_outer", "must be positive")
 
     def rho_threshold(self, lipschitz: float) -> float:
         return lipschitz / (1 - 2 * self.xi)
@@ -94,13 +94,13 @@ class ADMMConfig:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ValueError("eta must be positive")
+            raise ParameterError("eta", "must be positive")
         if not 0 < self.tau < GOLDEN_STEP_LIMIT:
-            raise ValueError(f"tau must lie in (0, {GOLDEN_STEP_LIMIT:.9f})")
+            raise ParameterError("tau", f"must lie in (0, {GOLDEN_STEP_LIMIT:.9f})")
         if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
+            raise ParameterError("max_inner", "must be at least 1")
         if not self.tol_inner > 0:
-            raise ValueError("tol_inner must be positive")
+            raise ParameterError("tol_inner", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,6 @@ class KKTResiduals:
     def eta_res(self) -> float:
         return max(self.eta_e, self.eta_d, self.eta_p)
 
-    def to_dict(self) -> dict:
-        return {
-            "eta_e": self.eta_e,
-            "eta_d": self.eta_d,
-            "eta_p": self.eta_p,
-            "eta_res": self.eta_res,
-        }
-
 
 @dataclass
 class TraceEntry:
@@ -134,16 +126,6 @@ class TraceEntry:
     inner_iterations: int
     kkt_residual: float
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "step_norm": self.step_norm,
-            "rel_step": self.rel_step,
-            "inner_iterations": self.inner_iterations,
-            "kkt_residual": self.kkt_residual,
-            "feasible": self.feasible,
-        }
 
 
 @dataclass
@@ -164,7 +146,7 @@ class SolveTrace:
             "converged": self.converged,
             "descent_checked": self.descent_checked,
             "descent_margin": self.descent_margin,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
         }
 
 

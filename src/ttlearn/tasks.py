@@ -2,7 +2,7 @@
 and end-to-end drivers for noisy completion and binary classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -240,6 +240,34 @@ def _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0):
     }
 
 
+def _run(
+    task: str, loss, x0: np.ndarray, pen: Penalty, transform_kind: str,
+    admm_cfg: solver.ADMMConfig | None, pilot_max_outer: int | None, **pmm_args,
+) -> tuple[np.ndarray, dict]:
+    """Shared driver of both tasks: the optional pilot stage, then the main solve.
+
+    Both solves start from ``x0`` under ``PMMConfig(**pmm_args)``; the pilot
+    runs under the DCT and its estimate defines the ``data`` transform.
+    """
+    pmm_cfg = solver.PMMConfig(**pmm_args)
+    admm_cfg = admm_cfg or solver.ADMMConfig()
+    n3 = x0.shape[2]
+
+    info: dict = {"task": task, "box_c": pmm_cfg.box_c}
+    if transform_kind == "data":
+        pilot_cfg = pmm_cfg
+        if pilot_max_outer is not None:
+            pilot_cfg = replace(pmm_cfg, max_outer=pilot_max_outer)
+        pilot, info["pilot"] = _solve(loss, pen, dct_transform(n3), pilot_cfg, admm_cfg, x0)
+        transform = data_driven_transform(pilot)
+    else:
+        transform = build_transform(transform_kind, n3)
+
+    x, solve_info = _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0)
+    info.update(solve_info)
+    return x, info
+
+
 def run_completion(
     y_obs: np.ndarray,
     mask: np.ndarray,
@@ -270,29 +298,10 @@ def run_completion(
         if observed_peak == 0:
             raise ValueError("all observed entries are zero; set box_c explicitly")
         box_c = 1.05 * observed_peak
-    pmm_cfg = solver.PMMConfig(
-        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer
+    recovered, info = _run(
+        "complete", loss, loss.y_obs.copy(), pen, transform_kind, admm_cfg, pilot_max_outer,
+        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
     )
-    admm_cfg = admm_cfg or solver.ADMMConfig()
-    x0 = loss.y_obs.copy()
-    n3 = y_obs.shape[2]
-
-    info: dict = {"task": "complete", "box_c": box_c}
-    if transform_kind == "data":
-        pilot_cfg = pmm_cfg
-        if pilot_max_outer is not None:
-            pilot_cfg = solver.PMMConfig(
-                rho=rho, beta=beta, box_c=box_c, xi=xi,
-                max_outer=pilot_max_outer, tol_outer=tol_outer,
-            )
-        pilot, pilot_info = _solve(loss, pen, dct_transform(n3), pilot_cfg, admm_cfg, x0)
-        transform = data_driven_transform(pilot)
-        info["pilot"] = pilot_info
-    else:
-        transform = build_transform(transform_kind, n3)
-
-    recovered, solve_info = _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0)
-    info.update(solve_info)
     if ground_truth is not None:
         truth_norm = top.fro_norm(ground_truth)
         info["metrics"] = {
@@ -323,35 +332,15 @@ def run_classification(
 ) -> tuple[np.ndarray, dict]:
     """Fit the coefficient tensor of a binary classifier by regularized logistic loss.
 
-    Starts from the zero tensor. Returns the coefficient estimate and a
+    Starts from the zero tensor; the ``data`` transform and ``pilot_max_outer``
+    work as in :func:`run_completion`. Returns the coefficient estimate and a
     JSON-ready info dict; test accuracy is reported when a test split is given.
     """
     loss = LogisticLoss(train_samples, train_labels)
-    pmm_cfg = solver.PMMConfig(
-        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer
+    coeff, info = _run(
+        "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg, pilot_max_outer,
+        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
     )
-    admm_cfg = admm_cfg or solver.ADMMConfig()
-    x0 = np.zeros(loss.shape)
-    n3 = loss.shape[2]
-
-    info: dict = {"task": "classify", "box_c": box_c}
-    if transform_kind == "data":
-        pilot_cfg = pmm_cfg
-        if pilot_max_outer is not None:
-            pilot_cfg = solver.PMMConfig(
-                rho=rho, beta=beta, box_c=box_c, xi=xi,
-                max_outer=pilot_max_outer, tol_outer=tol_outer,
-            )
-        pilot, pilot_info = _solve(loss, pen, dct_transform(n3), pilot_cfg, admm_cfg, x0)
-        if not np.any(pilot):
-            raise ValueError("pilot solve returned the zero tensor; cannot derive transform")
-        transform = data_driven_transform(pilot)
-        info["pilot"] = pilot_info
-    else:
-        transform = build_transform(transform_kind, n3)
-
-    coeff, solve_info = _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0)
-    info.update(solve_info)
     if test_samples is not None and test_labels is not None:
         _, labels = predict(coeff, test_samples)
         info["metrics"] = {"test_accuracy": test_accuracy(labels, np.asarray(test_labels))}

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttlearn
 from ttlearn import tasks
 from ttlearn.cli import main
 from ttlearn.tensor_io import read_tensor, write_tensor
@@ -251,3 +256,62 @@ def test_config_file_rejects_unknown_path_key(tmp_path, capsys):
     config_path.write_text(json.dumps({"paths": {"sideways": "x.tns"}}))
     assert run_cli(["complete", "--config", str(config_path), "--synthetic"]) == 1
     assert "paths.sideways" in capsys.readouterr().err
+
+
+def test_mistyped_config_value_exits_one_without_traceback(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"paths": ["observed"]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttlearn.cli", "complete", "--config", str(config_path),
+         "--synthetic"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "config field 'paths'" in proc.stderr
+
+
+SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]
+CONFIG_KEYS = [
+    "task", "penalty", "gamma", "transform", "beta", "rho", "xi", "box_c", "eta", "tau",
+    "max_outer", "tol_outer", "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train",
+    "n_test", "rank", "dims", "pilot_max_outer", "paths", "lambda",
+]
+TRACE_KEYS = [
+    "initial_objective", "outer_iterations", "converged", "descent_checked",
+    "descent_margin", "entries",
+]
+ENTRY_KEYS = ["objective", "step_norm", "rel_step", "inner_iterations", "kkt_residual", "feasible"]
+
+
+@pytest.mark.parametrize(
+    "args,top_keys",
+    [
+        (
+            ["complete", "--synthetic", "--dims", "6x6x2", "--rank", "1", "--seed", "0",
+             "--max-outer", "3"],
+            ["task", "config", "box_c", *SOLVE_KEYS, "metrics", "timing"],
+        ),
+        (
+            ["classify", "--synthetic", "--dims", "3x3x2", "--rank", "1", "--n-train", "40",
+             "--n-test", "10", "--seed", "0", "--transform", "data", "--lambda", "0.2",
+             "--beta", "0.5", "--rho", "0.2", "--tol-inner", "1e-3", "--max-outer", "3"],
+            ["task", "config", "box_c", "pilot", *SOLVE_KEYS, "metrics", "timing"],
+        ),
+    ],
+)
+def test_result_json_key_order(args, top_keys, tmp_path, recwarn):
+    out = tmp_path / "res.json"
+    assert run_cli(args + ["--results", str(out)]) == 0
+    result = load_json(out)  # json keeps the file's key order
+    assert list(result) == top_keys
+    assert list(result["config"]) == CONFIG_KEYS
+    solves = [result]
+    if "pilot" in result:
+        assert list(result["pilot"]) == SOLVE_KEYS
+        solves.append(result["pilot"])
+    for solve in solves:
+        assert list(solve["trace"]) == TRACE_KEYS
+        assert solve["trace"]["entries"]
+        assert all(list(entry) == ENTRY_KEYS for entry in solve["trace"]["entries"])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ttlearn.config import ConfigError, config_from_dict, load_config
+from ttlearn.penalties import Penalty
 
 
 def write_config(tmp_path, payload):
@@ -81,12 +82,56 @@ def test_invalid_json(tmp_path):
         ("n_train", 0),
         ("rank", -1),
         ("dims", [4, 4]),
+        ("box_c", 0.0),
+        ("max_outer", -1),
+        ("tol_inner", 0.0),
     ],
 )
 def test_range_violations(field, value, tmp_path):
     overrides = {} if field == "task" else {"task": "complete"}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as excinfo:
         load_config(write_config(tmp_path, {field: value}), **overrides)
+    assert excinfo.value.fieldname == field
+
+
+def test_delegated_range_messages():
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict({"task": "complete", "tau": 2.0})
+    assert str(excinfo.value) == "config field 'tau': must lie in (0, 1.618033989)"
+    with pytest.raises(ValueError) as excinfo:
+        Penalty("mcp", lam=0.0)
+    assert str(excinfo.value) == "lam must be positive"
+
+
+@pytest.mark.parametrize(
+    "payload,field",
+    [
+        ({"dims": 5}, "dims"),
+        ({"dims": [4, "a", 2]}, "dims"),
+        ({"dims": [4.0, 4.0, 2.0]}, "dims"),
+        ({"max_outer": 2.5}, "max_outer"),
+        ({"max_inner": True}, "max_inner"),
+        ({"lambda": "abc"}, "lambda"),
+        ({"beta": False}, "beta"),
+        ({"tol_inner": None}, "tol_inner"),
+        ({"seed": "x"}, "seed"),
+        ({"penalty": 5}, "penalty"),
+        ({"paths": ["observed"]}, "paths"),
+        ({"paths": {"observed": 3}}, "paths"),
+    ],
+)
+def test_mistyped_values_name_their_field(payload, field, tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_config(tmp_path, payload), task="complete")
+    assert excinfo.value.fieldname == field
+
+
+def test_integers_and_nulls_accepted_where_typed():
+    cfg = config_from_dict(
+        {"task": "complete", "lambda": 1, "rho": None, "box_c": None, "pilot_max_outer": None}
+    )
+    assert cfg.lam == 1 and cfg.rho is None and cfg.box_c is None
+    assert cfg.pilot_max_outer is None
 
 
 def test_scad_gamma_rule():

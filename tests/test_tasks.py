@@ -293,3 +293,25 @@ class TestRunClassification:
         assert info["metrics"]["test_accuracy"] >= 0.7
         assert coeff.shape == (6, 6, 2)
         assert top.inf_norm(coeff) <= 10.0 + 1e-12
+
+    def test_data_transform_pilot_is_capped(self):
+        problem = tasks.synth_logistic((4, 4, 3), 1, 80, 1, dct_transform(3), seed=1)
+        pen = Penalty("mcp", lam=0.2, gamma=2.7)
+        with pytest.warns(RuntimeWarning):
+            _, info = tasks.run_classification(
+                problem.train_samples, problem.train_labels, pen, beta=0.5,
+                rho=0.15, transform_kind="data", admm_cfg=ADMMConfig(tol_inner=1e-3),
+                max_outer=5, pilot_max_outer=2,
+            )
+        assert info["pilot"]["transform"] == "dct"
+        assert info["pilot"]["trace"]["outer_iterations"] == 2
+        assert info["transform"] == "data"
+
+    def test_zero_pilot_rejected(self):
+        # a pilot capped at zero outer steps is the zero starting point
+        problem = tasks.synth_logistic((3, 3, 2), 1, 20, 1, dct_transform(2), seed=0)
+        with pytest.raises(ValueError, match="pilot tensor is zero"):
+            tasks.run_classification(
+                problem.train_samples, problem.train_labels, Penalty("convex", lam=1.0),
+                beta=1.0, transform_kind="data", pilot_max_outer=0,
+            )
