@@ -65,6 +65,13 @@ def _add_synth_flags(p: _Parser, task: str) -> None:
         p.add_argument("--n-test", dest="n_test", type=int)
 
 
+def _number_list(text: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ttlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,8 +85,8 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", help="TNS1 ground truth for metrics (optional)")
     p.add_argument("--output", help="TNS1 path for the recovered tensor")
     p.add_argument("--results", help="path for the results JSON (default: stdout)")
-    p.add_argument("--lambda-grid", dest="lam_grid", help="comma-separated lambda sweep")
-    p.add_argument("--beta-grid", dest="beta_grid", help="comma-separated beta sweep")
+    p.add_argument("--lambda-grid", dest="lam_grid", type=_number_list, help="comma-separated lambda sweep")
+    p.add_argument("--beta-grid", dest="beta_grid", type=_number_list, help="comma-separated beta sweep")
 
     p = sub.add_parser("classify", help="fit a low-rank logistic-regression coefficient tensor")
     _add_solver_flags(p)
@@ -214,16 +221,21 @@ def _run_complete(args) -> dict:
     result = {"task": "complete", "config": cfg.echo()}
 
     if args.lam_grid or args.beta_grid:
-        lams = [float(v) for v in (args.lam_grid or str(cfg.lam)).split(",")]
-        betas = [float(v) for v in (args.beta_grid or str(cfg.beta)).split(",")]
+        grid = [
+            (lam, beta)
+            for lam in args.lam_grid or [float(cfg.lam)]
+            for beta in args.beta_grid or [float(cfg.beta)]
+        ]
+        # each grid point is checked as the config field it replaces, before any solve
+        for lam, beta in grid:
+            replace(cfg, lam=lam, beta=beta).validate()
         sweep = []
-        for lam in lams:
-            for beta in betas:
-                _, info = tasks.run_completion(y_obs, mask, replace(pen, lam=lam), beta, **common)
-                entry = {"lambda": lam, "beta": beta, "final_objective": info["final_objective"]}
-                if "metrics" in info:
-                    entry["metrics"] = info["metrics"]
-                sweep.append(entry)
+        for lam, beta in grid:
+            _, info = tasks.run_completion(y_obs, mask, replace(pen, lam=lam), beta, **common)
+            entry = {"lambda": lam, "beta": beta, "final_objective": info["final_objective"]}
+            if "metrics" in info:
+                entry["metrics"] = info["metrics"]
+            sweep.append(entry)
         result["grid"] = sweep
         if args.output:
             print("note: --output is ignored in grid mode", file=sys.stderr)
@@ -292,18 +304,20 @@ def _run_synth(args) -> dict:
             "coeff": f"{prefix}_coeff.tns",
             "train_samples": f"{prefix}_train_samples.tns",
             "train_labels": f"{prefix}_train_labels.txt",
-            "test_samples": f"{prefix}_test_samples.tns",
-            "test_labels": f"{prefix}_test_labels.txt",
         }
         write_tensor(files["coeff"], problem.coeff_truth)
         _write_sample_stack(
             files["train_samples"], files["train_labels"],
             problem.train_samples, problem.train_labels,
         )
-        _write_sample_stack(
-            files["test_samples"], files["test_labels"],
-            problem.test_samples, problem.test_labels,
-        )
+        # n_test = 0 means no test split: no test files are written or listed
+        if cfg.n_test:
+            files["test_samples"] = f"{prefix}_test_samples.tns"
+            files["test_labels"] = f"{prefix}_test_labels.txt"
+            _write_sample_stack(
+                files["test_samples"], files["test_labels"],
+                problem.test_samples, problem.test_labels,
+            )
         manifest.update({"n_train": cfg.n_train, "n_test": cfg.n_test, "files": files})
     return manifest
 

@@ -105,7 +105,12 @@ class ADMMConfig:
 
 @dataclass(frozen=True)
 class KKTResiduals:
-    """Relative KKT residuals of the inner subproblem (all Frobenius-based)."""
+    """Relative KKT residuals of the inner subproblem (all Frobenius-based).
+
+    ``eta_d`` is ``inf`` when ``kkt_residuals`` was given a tolerance that
+    ``eta_e`` or ``eta_p`` already exceeds; its SVD was then skipped, and
+    ``eta_res`` is ``inf`` as well.
+    """
 
     eta_e: float
     eta_d: float
@@ -172,13 +177,20 @@ def kkt_residuals(
     pen: Penalty,
     u: OrthogonalTransform,
     cfg: PMMConfig,
+    *,
+    tol: float | None = None,
 ) -> KKTResiduals:
-    """Relative KKT residuals of the split subproblem at ``(x, m, z)``."""
+    """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
+
+    Only ``eta_d`` needs an SVD. With ``tol`` given, ``eta_e`` and ``eta_p``
+    are computed first, and if either exceeds ``tol`` the stop test
+    ``eta_res <= tol`` fails whatever ``eta_d`` is, so ``eta_d`` is returned
+    as ``inf`` without the SVD. With ``tol=None`` all three are computed.
+    """
     norm_m = fro_norm(m)
     norm_x = fro_norm(x)
     norm_z = fro_norm(z)
     eta_e = fro_norm(m - x) / (1 + norm_m + norm_x)
-    eta_d = fro_norm(m - svt(m + z, cfg.beta * pen.lam, u)) / (1 + norm_m + norm_z)
     rho = cfg.rho
     stationarity_point = xt - (grad_f_xt - cfg.beta * grad_s2_xt + z) / rho
     numerator = fro_norm(x - project_box(stationarity_point, cfg.box_c))
@@ -189,7 +201,11 @@ def kkt_residuals(
         + fro_norm(grad_f_xt) / rho
         + cfg.beta * fro_norm(grad_s2_xt) / rho
     )
-    return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=numerator / denominator)
+    eta_p = numerator / denominator
+    if tol is not None and max(eta_e, eta_p) > tol:
+        return KKTResiduals(eta_e=eta_e, eta_d=float("inf"), eta_p=eta_p)
+    eta_d = fro_norm(m - svt(m + z, cfg.beta * pen.lam, u)) / (1 + norm_m + norm_z)
+    return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=eta_p)
 
 
 def admm_subproblem(
@@ -207,6 +223,9 @@ def admm_subproblem(
     ``warm`` carries ``(m, x, z)`` from the previous outer iteration; the
     default start is zeros for ``m`` and ``z`` with ``x = xt``. Returns the
     final ``(x, m, z)``, the last KKT residuals, and the iteration count.
+    The stop test skips the ``eta_d`` SVD while ``eta_e`` or ``eta_p`` fails
+    it, except on the last allowed iteration, so the returned residuals are
+    always complete.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
@@ -224,7 +243,10 @@ def admm_subproblem(
         m = svt(x + z / eta, threshold, u)
         x = project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
-        residuals = kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg)
+        tol = None if iterations == admm_cfg.max_inner else admm_cfg.tol_inner
+        residuals = kkt_residuals(
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, tol=tol
+        )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
     return x, m, z, residuals, iterations

@@ -162,7 +162,7 @@ class ClassificationProblem:
 
 def _draw_samples(rng, dims, count, coeff):
     samples = rng.standard_normal((count,) + tuple(dims))
-    probs = expit(samples.reshape(count, -1) @ coeff.ravel())
+    probs = expit(samples.reshape(count, coeff.size) @ coeff.ravel())
     labels = (rng.random(count) < probs).astype(int)
     return samples, labels
 
@@ -208,7 +208,7 @@ def predict(x_hat: np.ndarray, test_samples: np.ndarray) -> tuple[np.ndarray, np
     """Class-1 probabilities and hard labels (1 iff probability exceeds 0.5)."""
     x_hat = np.asarray(x_hat, dtype=float)
     stack = np.asarray(test_samples, dtype=float)
-    margins = stack.reshape(stack.shape[0], -1) @ x_hat.ravel()
+    margins = stack.reshape(stack.shape[0], x_hat.size) @ x_hat.ravel()
     probs = expit(margins)
     return probs, (probs > 0.5).astype(int)
 
@@ -334,14 +334,15 @@ def run_classification(
 
     Starts from the zero tensor; the ``data`` transform and ``pilot_max_outer``
     work as in :func:`run_completion`. Returns the coefficient estimate and a
-    JSON-ready info dict; test accuracy is reported when a test split is given.
+    JSON-ready info dict; test accuracy is reported when a nonempty test split
+    is given.
     """
     loss = LogisticLoss(train_samples, train_labels)
     coeff, info = _run(
         "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg, pilot_max_outer,
         rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
     )
-    if test_samples is not None and test_labels is not None:
+    if test_samples is not None and test_labels is not None and len(test_labels):
         _, labels = predict(coeff, test_samples)
         info["metrics"] = {"test_accuracy": test_accuracy(labels, np.asarray(test_labels))}
     return coeff, info

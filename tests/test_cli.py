@@ -258,18 +258,61 @@ def test_config_file_rejects_unknown_path_key(tmp_path, capsys):
     assert "paths.sideways" in capsys.readouterr().err
 
 
+def run_cli_process(args):
+    env = dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "ttlearn.cli", *args], capture_output=True, text=True, env=env
+    )
+
+
 def test_mistyped_config_value_exits_one_without_traceback(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"paths": ["observed"]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ttlearn.cli", "complete", "--config", str(config_path),
-         "--synthetic"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_cli_process(["complete", "--config", str(config_path), "--synthetic"])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "config field 'paths'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "grid,named",
+    [
+        (["--lambda-grid", "0,1"], "config field 'lambda': must be positive"),
+        (["--lambda-grid", "a"], "argument --lambda-grid"),
+        (["--lambda-grid", "1,,2"], "argument --lambda-grid"),
+        (["--beta-grid", "1,-1"], "config field 'beta': must be nonnegative"),
+        (["--beta-grid", "1,x"], "argument --beta-grid"),
+    ],
+)
+def test_bad_grid_value_names_the_field(grid, named):
+    proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "2", *grid])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
+def test_zero_test_count_means_no_test_split(tmp_path, recwarn):
+    prefix = str(tmp_path / "cls")
+    manifest_path = tmp_path / "manifest.json"
+    assert run_cli([
+        "synth", "--task", "classify", "--dims", "3x3x2", "--rank", "1",
+        "--n-train", "30", "--n-test", "0", "--out-prefix", prefix,
+        "--results", str(manifest_path),
+    ]) == 0
+    assert set(load_json(manifest_path)["files"]) == {"coeff", "train_samples", "train_labels"}
+    assert sorted(p.name for p in tmp_path.glob("cls_*")) == [
+        "cls_coeff.tns", "cls_train_labels.txt", "cls_train_samples.tns",
+    ]
+
+    out = tmp_path / "res.json"
+    assert run_cli([
+        "classify", "--synthetic", "--dims", "3x3x2", "--rank", "1", "--n-train", "30",
+        "--n-test", "0", "--lambda", "0.2", "--beta", "0.5", "--rho", "0.2",
+        "--tol-inner", "1e-3", "--max-outer", "2", "--results", str(out),
+    ]) == 0
+    text = out.read_text()
+    assert "NaN" not in text
+    assert "metrics" not in json.loads(text)
 
 
 SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import ttlearn.tensor_ops as top
+from ttlearn import solver
 from ttlearn.losses import CompletionLoss, LogisticLoss
-from ttlearn.penalties import Penalty, dc_smooth_grad, svt
+from ttlearn.penalties import KINDS, Penalty, dc_smooth_grad, svt
 from ttlearn.solver import (
     ADMMConfig,
     NumericalDivergenceError,
@@ -132,6 +134,33 @@ class TestKKTResiduals:
         assert res.eta_p == pytest.approx(eta_p, abs=1e-12)
         assert res.eta_res == max(eta_e, eta_d, eta_p)
 
+    def test_tol_skips_eta_d_when_cheap_pair_fails(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("eta_d's SVD should have been skipped")
+
+        rng = np.random.default_rng(11)
+        x, m, z = (rng.standard_normal((3, 3, 2)) for _ in range(3))
+        cfg = PMMConfig(rho=2.0, beta=1.0, box_c=10.0)
+        monkeypatch.setattr(solver, "svt", no_svd)
+        res = kkt_residuals(x, m, z, x, z, z, MCP, dct_transform(2), cfg, tol=1e-3)
+        assert res.eta_e > 1e-3
+        assert res.eta_d == res.eta_res == float("inf")
+
+    def test_tol_keeps_eta_d_when_cheap_pair_passes(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((3, 3, 2))
+        z = rng.standard_normal((3, 3, 2))
+        zero = np.zeros_like(m)
+        cfg = PMMConfig(rho=2.0, beta=1.0, box_c=10.0)
+        u = dct_transform(2)
+        # x = m and a stationary x make eta_e and eta_p vanish
+        xt = m + z / cfg.rho
+        full = kkt_residuals(m, m, z, xt, zero, zero, MCP, u, cfg)
+        lazy = kkt_residuals(m, m, z, xt, zero, zero, MCP, u, cfg, tol=1e-9)
+        assert max(full.eta_e, full.eta_p) <= 1e-12
+        assert np.isfinite(full.eta_d)
+        assert lazy == full
+
 
 class TestADMMSubproblem:
     def test_zero_fixed_point(self):
@@ -209,6 +238,88 @@ class TestADMMSubproblem:
         x1, m1, z1, _, iters_cold = admm_subproblem(xt, gf, gs2, MCP, u, cfg, admm)
         _, _, _, _, iters_warm = admm_subproblem(xt, gf, gs2, MCP, u, cfg, admm, warm=(m1, x1, z1))
         assert iters_warm <= iters_cold
+
+
+def eager_admm_subproblem(xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None):
+    """The ADMM inner loop with every KKT residual computed in full at every check."""
+    rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
+    eta, tau = admm_cfg.eta, admm_cfg.tau
+    if warm is None:
+        m = np.zeros_like(xt)
+        x = xt.copy()
+        z = np.zeros_like(xt)
+    else:
+        m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
+    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    threshold = beta * pen.lam / eta
+    for iterations in range(1, admm_cfg.max_inner + 1):
+        m = svt(x + z / eta, threshold, u)
+        x = top.project_box((drift + eta * m - z) / (rho + eta), c)
+        z = z + tau * eta * (x - m)
+        residuals = kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg)
+        if residuals.eta_res <= admm_cfg.tol_inner:
+            break
+    return x, m, z, residuals, iterations
+
+
+GAMMA = {"mcp": 2.7, "scad": 3.7, "log": 1.0, "convex": 0.0}
+
+
+class TestLazyKKTCheck:
+    """Skipping eta_d's SVD must not change any iterate, count or residual."""
+
+    @given(
+        n1=st.integers(1, 6),
+        n2=st.integers(1, 6),
+        n3=st.integers(1, 3),
+        transform=st.sampled_from([identity_transform, dct_transform]),
+        kind=st.sampled_from(KINDS),
+        lam=st.floats(0.05, 2.0),
+        beta=st.floats(0.0, 2.0),
+        rho=st.floats(0.5, 10.0),
+        box_c=st.floats(0.2, 3.0),
+        tol_inner=st.sampled_from([1e-6, 3e-4, 3e-3, 5e-2, 0.5]),
+        max_inner=st.integers(1, 5),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eager_loop(
+        self, n1, n2, n3, transform, kind, lam, beta, rho, box_c, tol_inner, max_inner,
+        warm, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (n1, n2, n3)
+        xt, gf, gs2 = (rng.standard_normal(shape) for _ in range(3))
+        start = tuple(rng.standard_normal(shape) for _ in range(3)) if warm else None
+        pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
+        args = (
+            xt, gf, gs2, pen, transform(n3),
+            PMMConfig(rho=rho, beta=beta, box_c=box_c),
+            ADMMConfig(max_inner=max_inner, tol_inner=tol_inner), start,
+        )
+        x, m, z, res, iters = admm_subproblem(*args)
+        ref_x, ref_m, ref_z, ref_res, ref_iters = eager_admm_subproblem(*args)
+        assert np.array_equal(x, ref_x)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(z, ref_z)
+        assert iters == ref_iters
+        assert res.eta_res == ref_res.eta_res
+        assert res == ref_res
+
+    def test_pmm_trace_matches_eager_loop(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        u = dct_transform(3)
+        y = rng.standard_normal((6, 6, 3))
+        mask = rng.random(y.shape) < 0.6
+        loss = CompletionLoss(np.where(mask, y, 0.0), mask)
+        cfg = PMMConfig(rho=6.0, beta=1.0, box_c=3.0, max_outer=15)
+        admm = ADMMConfig(tol_inner=3e-4, max_inner=20)
+        x0 = loss.y_obs.copy()
+        x, trace = pmm_solve(loss, MCP, u, cfg, admm, x0)
+        monkeypatch.setattr(solver, "admm_subproblem", eager_admm_subproblem)
+        ref_x, ref_trace = pmm_solve(loss, MCP, u, cfg, admm, x0)
+        assert np.array_equal(x, ref_x)
+        assert trace.to_dict() == ref_trace.to_dict()
 
 
 class TestPMMSolve:

@@ -307,6 +307,21 @@ class TestRunClassification:
         assert info["pilot"]["trace"]["outer_iterations"] == 2
         assert info["transform"] == "data"
 
+    def test_empty_test_split_reports_no_metrics(self):
+        # n_test = 0 is in range and means "no test split"
+        problem = tasks.synth_logistic((3, 3, 2), 1, 30, 0, dct_transform(2), seed=0)
+        assert problem.test_samples.shape == (0, 3, 3, 2)
+        assert problem.test_labels.shape == (0,)
+        probs, labels = tasks.predict(problem.coeff_truth, problem.test_samples)
+        assert probs.shape == labels.shape == (0,)
+        with pytest.warns(RuntimeWarning):
+            _, info = tasks.run_classification(
+                problem.train_samples, problem.train_labels, Penalty("mcp", lam=0.2, gamma=2.7),
+                beta=0.5, rho=0.15, admm_cfg=ADMMConfig(tol_inner=1e-3), max_outer=2,
+                test_samples=problem.test_samples, test_labels=problem.test_labels,
+            )
+        assert "metrics" not in info
+
     def test_zero_pilot_rejected(self):
         # a pilot capped at zero outer steps is the zero starting point
         problem = tasks.synth_logistic((3, 3, 2), 1, 20, 1, dct_transform(2), seed=0)
