@@ -93,19 +93,7 @@ class Penalty:
         return lam * np.log1p(x / gamma)
 
     def g_prime(self, x) -> np.ndarray:
-        x = self._domain(x)
-        lam, gamma = self.lam, self.gamma
-        if self.kind == "convex":
-            return np.full_like(x, lam)
-        if self.kind == "mcp":
-            return np.where(x <= gamma * lam, lam - x / gamma, 0.0)
-        if self.kind == "scad":
-            return np.select(
-                [x < lam, x < gamma * lam],
-                [np.full_like(x, lam), (gamma * lam - x) / (gamma - 1)],
-                default=0.0,
-            )
-        return lam / (x + gamma)
+        return self.lam - self.s2_prime(x)
 
     def s1(self, x) -> np.ndarray:
         return self.lam * self._domain(x)
@@ -151,11 +139,15 @@ def dc_smooth_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> floa
     return float(pen.s2(transformed_singular_values(x, u)).sum())
 
 
+def _thin_svd_rebuild(batch: np.ndarray, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slices of ``batch`` with ``f`` applied to their singular values, plus sigma and V^T."""
+    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
+    return (left * f(sigma)[:, None, :]) @ right_h, sigma, right_h
+
+
 def _spectral_rebuild(x: np.ndarray, u: OrthogonalTransform, f) -> np.ndarray:
     """Rebuild ``x`` with ``f`` applied to every transformed-slice singular value."""
-    batch = _slices_first(apply_transform(x, u))
-    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
-    core = (left * f(sigma)[:, None, :]) @ right_h
+    core, _, _ = _thin_svd_rebuild(_slices_first(apply_transform(x, u)), f)
     return inverse_transform(_slices_last(core), u)
 
 
@@ -171,15 +163,132 @@ def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> np.nd
     return _spectral_rebuild(x, u, pen.s2_prime)
 
 
-def svt(a: np.ndarray, tau: float, u: OrthogonalTransform) -> np.ndarray:
+# Truncated SVT (see :func:`svt`). Slices whose shorter side is below
+# TRUNCATED_MIN_SIDE, or whose predicted subspace width exceeds a quarter of
+# it, always take the full SVD; both depend only on the input's shape and rank.
+TRUNCATED_MIN_SIDE = 64
+SUBSPACE_OVERSAMPLE = 10
+MAX_POWER_STEPS = 20
+RITZ_RESIDUAL_TOL = 1e-10
+
+
+class SubspaceHint:
+    """The right singular subspace one :func:`svt` call site hands to its next call.
+
+    ``basis`` is ``None`` or an ``(n3, n2, k)`` stack holding, for every
+    transformed slice, the top ``k`` right singular vectors of the matrix
+    last thresholded here: ``k = r + SUBSPACE_OVERSAMPLE``, where ``r`` is
+    the largest number of singular values any slice kept, and at most the
+    width of the previous basis. A call that finds ``k`` above a quarter of
+    the shorter slice side clears it. A solve creates one hint per call site,
+    so repeated solves make the same calls and return the same bits.
+    """
+
+    def __init__(self):
+        self.basis: np.ndarray | None = None
+
+    def _remember(self, right: np.ndarray, sigma: np.ndarray, tau: float, side: int) -> None:
+        # right: (n3, n2, m) right singular vectors ordered like sigma (n3, m)
+        width = min(int((sigma > tau).sum(axis=1).max()) + SUBSPACE_OVERSAMPLE, right.shape[2])
+        self.basis = np.ascontiguousarray(right[:, :, :width]) if 4 * width <= side else None
+
+
+def _kept_residuals_pass(off: np.ndarray, left_vectors: np.ndarray, kept, floor) -> bool:
+    """Whether every kept Ritz triplet's residual ``||off @ u_i||`` is within its slice's floor."""
+    residuals = np.linalg.norm(off @ left_vectors, axis=1)
+    return bool(np.all(np.where(kept, residuals, 0.0).max(axis=1) <= floor))
+
+
+def _truncated_svt(batch: np.ndarray, tau: float, basis: np.ndarray):
+    """Certified thresholding of ``batch`` from a warm right subspace, or ``None``.
+
+    Subspace iteration (Halko, Martinsson & Tropp, SIAM Rev. 2011): with
+    ``A V = Q R`` for the current right basis ``V``, the Rayleigh-Ritz
+    triplets of ``A`` on ``(Q, V)`` are those of the ``k x k`` matrix ``R``.
+    They satisfy ``A v_i = s_i u_i`` exactly, and their residual
+    ``A^T u_i - s_i v_i = (A^T Q - V R^T) u_i`` costs no product beyond the
+    step's own ``A^T Q``. Returns ``(core, sigma, right)`` once, on every
+    slice, some Ritz value is at or below ``tau`` (Cai, Candes & Shen, SIAM
+    J. Optim. 2010) and every kept triplet's residual is at most
+    ``RITZ_RESIDUAL_TOL`` times the slice's Frobenius norm. The kept triplets
+    are then exact ones of a matrix within ``sqrt(r)`` residuals of ``A``.
+    Returns ``None`` as soon as all ``k`` Ritz values of a slice exceed
+    ``tau``, since they are lower bounds of its singular values, or after
+    ``MAX_POWER_STEPS`` steps.
+    """
+    batch_t = batch.swapaxes(1, 2)
+    floor = RITZ_RESIDUAL_TOL * np.sqrt(np.einsum("sij,sij->s", batch, batch))
+    tau2 = tau * tau
+    right = basis
+    for _ in range(MAX_POWER_STEPS):
+        left, r = np.linalg.qr(batch @ right)
+        back = batch_t @ left
+        r_t = r.swapaxes(1, 2)
+        # the Gram probe: eigenpairs of R R^T are R's squared singular values
+        # and left singular vectors, ascending
+        gram_values, gram_vectors = np.linalg.eigh(r @ r_t)
+        if np.any(gram_values[:, 0] > tau2):
+            return None
+        off = back - right @ r_t
+        if _kept_residuals_pass(off, gram_vectors, gram_values > tau2, floor):
+            small_left, sigma, small_right_h = np.linalg.svd(r, full_matrices=False)
+            if np.any(sigma[:, -1] > tau) or not _kept_residuals_pass(
+                off, small_left, sigma > tau, floor
+            ):
+                return None
+            right_h = small_right_h @ right.swapaxes(1, 2)
+            core = (left @ small_left * np.maximum(sigma - tau, 0.0)[:, None, :]) @ right_h
+            return core, sigma, right_h.swapaxes(1, 2)
+        right, _ = np.linalg.qr(back)
+    return None
+
+
+def svt(
+    a: np.ndarray, tau: float, u: OrthogonalTransform, *, hint: SubspaceHint | None = None
+) -> np.ndarray:
     """Singular-value thresholding under the transform.
 
     Proximal map of ``tau`` times the transformed nuclear norm: every
     transformed-slice singular value is shrunk by ``tau`` and floored at 0.
+
+    Without ``hint``, or when a slice's shorter side is below
+    ``TRUNCATED_MIN_SIDE``, every slice gets a full thin SVD. Otherwise the
+    call only needs the few singular triplets above ``tau``: it runs QR-only
+    power steps from ``hint.basis``, the previous call's top right singular
+    subspace, and accepts their Rayleigh-Ritz triplets once a certificate
+    holds on every slice. Some Ritz value must be at or below ``tau``, and
+    every kept triplet's residual must be at most ``RITZ_RESIDUAL_TOL`` times
+    the slice's Frobenius norm. The result is then within ``sqrt(r)`` such
+    residuals of the full one, for ``r`` kept values. One SVD of the small
+    ``k x k`` projection per slice gives the triplets. When the hint is
+    empty, does not fit, or the certificate fails (the rank outgrew the
+    subspace, or ``MAX_POWER_STEPS`` steps did not converge), the call falls
+    back to the full SVD. Either way the call leaves its own subspace in the
+    hint. The certificate cannot see a singular direction above ``tau`` to
+    which the warm start is exactly orthogonal. A subspace taken from the
+    same call site's previous matrix, which the solver's iterates move only
+    a little, has no such blind spot in practice, but this is not proved.
     """
     a = np.asarray(a, dtype=float)
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     if tau == 0:
         return a.copy()
-    return _spectral_rebuild(a, u, lambda sigma: np.maximum(sigma - tau, 0.0))
+
+    def shrink(sigma):
+        return np.maximum(sigma - tau, 0.0)
+
+    side = min(a.shape[:2])
+    if hint is None or side < TRUNCATED_MIN_SIDE:
+        return _spectral_rebuild(a, u, shrink)
+    batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
+    found = None
+    if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
+        found = _truncated_svt(batch, tau, hint.basis)
+    if found is None:
+        core, sigma, right_h = _thin_svd_rebuild(batch, shrink)
+        right = right_h.swapaxes(1, 2)
+    else:
+        core, sigma, right = found
+    hint._remember(right, sigma, tau, side)
+    return inverse_transform(_slices_last(core), u)

@@ -19,7 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .penalties import ParameterError, Penalty, dc_smooth_grad, penalty_value, svt
+from .penalties import (
+    ParameterError,
+    Penalty,
+    SubspaceHint,
+    dc_smooth_grad,
+    penalty_value,
+    svt,
+)
 from .tensor_ops import fro_norm, inf_norm, project_box
 from .transforms import OrthogonalTransform
 
@@ -179,6 +186,7 @@ def kkt_residuals(
     cfg: PMMConfig,
     *,
     tol: float | None = None,
+    hint: SubspaceHint | None = None,
 ) -> KKTResiduals:
     """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
 
@@ -186,6 +194,7 @@ def kkt_residuals(
     are computed first, and if either exceeds ``tol`` the stop test
     ``eta_res <= tol`` fails whatever ``eta_d`` is, so ``eta_d`` is returned
     as ``inf`` without the SVD. With ``tol=None`` all three are computed.
+    ``hint`` is handed to the ``svt`` call of ``eta_d``.
     """
     norm_m = fro_norm(m)
     norm_x = fro_norm(x)
@@ -204,7 +213,7 @@ def kkt_residuals(
     eta_p = numerator / denominator
     if tol is not None and max(eta_e, eta_p) > tol:
         return KKTResiduals(eta_e=eta_e, eta_d=float("inf"), eta_p=eta_p)
-    eta_d = fro_norm(m - svt(m + z, cfg.beta * pen.lam, u)) / (1 + norm_m + norm_z)
+    eta_d = fro_norm(m - svt(m + z, cfg.beta * pen.lam, u, hint=hint)) / (1 + norm_m + norm_z)
     return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=eta_p)
 
 
@@ -217,6 +226,8 @@ def admm_subproblem(
     pmm_cfg: PMMConfig,
     admm_cfg: ADMMConfig,
     warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    *,
+    hints: tuple[SubspaceHint, SubspaceHint] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
     """Solve one outer subproblem by two-block ADMM.
 
@@ -225,7 +236,9 @@ def admm_subproblem(
     final ``(x, m, z)``, the last KKT residuals, and the iteration count.
     The stop test skips the ``eta_d`` SVD while ``eta_e`` or ``eta_p`` fails
     it, except on the last allowed iteration, so the returned residuals are
-    always complete.
+    always complete. ``hints`` are the subspace hints of the ``m``-update's
+    ``svt`` and of ``eta_d``'s, in that order; without them every ``svt``
+    call makes a full SVD.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
@@ -239,13 +252,14 @@ def admm_subproblem(
     # constant part of the x-update numerator
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
+    m_hint, eta_d_hint = hints or (None, None)
     for iterations in range(1, admm_cfg.max_inner + 1):
-        m = svt(x + z / eta, threshold, u)
+        m = svt(x + z / eta, threshold, u, hint=m_hint)
         x = project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
         tol = None if iterations == admm_cfg.max_inner else admm_cfg.tol_inner
         residuals = kkt_residuals(
-            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, tol=tol
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, tol=tol, hint=eta_d_hint
         )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
@@ -265,7 +279,10 @@ def pmm_solve(
     Gradients of the loss and of the smooth penalty part are evaluated once
     per outer iteration; the inner solver is warm-started across iterations.
     When ``rho`` clears the descent threshold, every step is asserted to not
-    increase the objective (beyond 1e-9 slack).
+    increase the objective (beyond 1e-9 slack). The two ``svt`` call sites of
+    the inner solver each keep a :class:`~ttlearn.penalties.SubspaceHint`
+    for the whole solve, so large slices are thresholded from a warm
+    subspace instead of a full SVD.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 3:
@@ -289,12 +306,13 @@ def pmm_solve(
         descent_margin=pmm_cfg.descent_margin(lipschitz) if descent_ok else 0.0,
     )
     warm = (np.zeros_like(x), x.copy(), np.zeros_like(x))
+    hints = (SubspaceHint(), SubspaceHint())
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
         grad_s2 = dc_smooth_grad(x, u, pen)
         x_new, m, z, residuals, inner = admm_subproblem(
-            x, grad_f, grad_s2, pen, u, pmm_cfg, admm_cfg, warm
+            x, grad_f, grad_s2, pen, u, pmm_cfg, admm_cfg, warm, hints=hints
         )
         if not np.all(np.isfinite(x_new)):
             raise NumericalDivergenceError("iterate contains non-finite entries", trace)

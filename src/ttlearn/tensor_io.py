@@ -7,6 +7,8 @@ Write-then-read round trips are bit-exact.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -45,6 +47,11 @@ def read_tensor(path) -> np.ndarray:
         if min(n1, n2, n3) == 0:
             raise TensorFormatError("zero dimension in header", 4)
         expected = 8 * n1 * n2 * n3
+        # a header may claim more than memory holds; check a regular file's
+        # size before reading so such a file fails like any short one
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size < expected:
+            raise TensorFormatError("truncated payload", info.st_size)
         payload = fh.read(expected)
         if len(payload) < expected:
             raise TensorFormatError("truncated payload", _HEADER.size + len(payload))

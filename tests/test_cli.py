@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +273,15 @@ def test_mistyped_config_value_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "config field 'paths'" in proc.stderr
+
+
+def test_oversized_tns_header_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "big.tns"
+    path.write_bytes(b"TNS1" + struct.pack("<III", 100_000, 100_000, 1))
+    proc = run_cli_process(["metrics", str(path), str(path)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "truncated payload" in proc.stderr
 
 
 @pytest.mark.parametrize(

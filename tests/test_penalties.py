@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ttlearn.tensor_ops as top
+from ttlearn import penalties
 from ttlearn.penalties import (
+    SUBSPACE_OVERSAMPLE,
+    TRUNCATED_MIN_SIDE,
     Penalty,
+    SubspaceHint,
     dc_smooth_grad,
     dc_smooth_value,
     penalty_value,
@@ -325,3 +330,151 @@ class TestSVT:
             b = rng.standard_normal((4, 3, 2))
             lhs = top.fro_norm(svt(a, 0.8, u) - svt(b, 0.8, u))
             assert lhs <= top.fro_norm(a - b) + 1e-10
+
+
+def low_rank_stack(rng, shape, sigmas, noise, transform):
+    """Tensor whose transformed slices are rank ``len(sigmas)`` with those singular values, plus noise."""
+    n1, n2, n3 = shape
+    xhat = noise * rng.standard_normal(shape)
+    for k in range(n3):
+        q1, _ = np.linalg.qr(rng.standard_normal((n1, len(sigmas))))
+        q2, _ = np.linalg.qr(rng.standard_normal((n2, len(sigmas))))
+        xhat[:, :, k] += (q1 * sigmas) @ q2.T
+    return top.inverse_transform(xhat, transform)
+
+
+def assert_matches_full_svt(out, a, tau, u):
+    # the certificate bounds the deviation by residuals relative to ||a||_F
+    assert top.fro_norm(out - svt(a, tau, u)) <= 1e-9 * top.fro_norm(a)
+
+
+side = st.integers(TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE + 16)
+slices = st.integers(1, 3)
+transforms = st.sampled_from([identity_transform, dct_transform])
+seeds = st.integers(0, 2**32 - 1)
+TAU = 2.0  # above the noise floor (spectral norm below 0.4), below every signal value
+
+
+def spectrum(rng, rank):
+    return np.sort(rng.uniform(5.0, 50.0, rank))[::-1]
+
+
+class TestTruncatedSVT:
+    """The hinted kernel above the size gate against the full-SVD ``svt``."""
+
+    @settings(max_examples=25)
+    @given(n1=side, n2=side, n3=slices, transform=transforms, rank=st.integers(1, 6),
+           drift=st.floats(0.0, 0.05), seed=seeds)
+    def test_warm_hint_from_a_nearby_stack(self, n1, n2, n3, transform, rank, drift, seed):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        a = low_rank_stack(rng, (n1, n2, n3), spectrum(rng, rank), 0.02, u)
+        hint = SubspaceHint()
+        np.testing.assert_array_equal(svt(a, TAU, u, hint=hint), svt(a, TAU, u))
+        assert hint.basis.shape == (n3, n2, rank + SUBSPACE_OVERSAMPLE)
+        b = a + drift * rng.standard_normal(a.shape)
+        assert_matches_full_svt(svt(b, TAU, u, hint=hint), b, TAU, u)
+
+    @settings(max_examples=25)
+    @given(n1=side, n2=side, n3=slices, transform=transforms, rank=st.integers(1, 6),
+           other_rank=st.integers(1, 6), seed=seeds)
+    def test_stale_hint_from_an_unrelated_stack(
+        self, n1, n2, n3, transform, rank, other_rank, seed
+    ):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, (n1, n2, n3), spectrum(rng, other_rank), 0.02, u), TAU, u,
+            hint=hint)
+        b = low_rank_stack(rng, (n1, n2, n3), spectrum(rng, rank), 0.02, u)
+        assert_matches_full_svt(svt(b, TAU, u, hint=hint), b, TAU, u)
+
+    @settings(max_examples=25)
+    @given(n=side, n3=slices, transform=transforms, rank=st.integers(2, 14), seed=seeds)
+    def test_rank_growing_past_the_hint(self, n, n3, transform, rank, seed):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, (n, n, n3), spectrum(rng, 1), 0.02, u), TAU, u, hint=hint)
+        width = 1 + SUBSPACE_OVERSAMPLE
+        assert hint.basis.shape[2] == width
+        b = low_rank_stack(rng, (n, n, n3), spectrum(rng, rank), 0.02, u)
+        assert_matches_full_svt(svt(b, TAU, u, hint=hint), b, TAU, u)
+        if rank >= width:
+            # the call fell back to the full SVD, whose rank + oversampling
+            # is wider than a quarter of these slices, so the hint is cleared
+            assert hint.basis is None
+
+    @settings(max_examples=10)
+    @given(n3=slices, transform=transforms, margin=st.floats(1e-6, 1.0), seed=seeds)
+    def test_threshold_above_the_top_singular_value(self, n3, transform, margin, seed):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        shape = (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE + 3, n3)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, shape, spectrum(rng, 3), 0.02, u), TAU, u, hint=hint)
+        b = low_rank_stack(rng, shape, spectrum(rng, 3), 0.02, u)
+        tau = top.spectral_norm(b, u) * (1 + margin)
+        np.testing.assert_array_equal(svt(b, tau, u, hint=hint), np.zeros_like(b))
+
+    def test_zero_input(self):
+        rng = np.random.default_rng(3)
+        u = dct_transform(2)
+        shape = (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE, 2)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, shape, spectrum(rng, 4), 0.02, u), TAU, u, hint=hint)
+        np.testing.assert_array_equal(svt(np.zeros(shape), TAU, u, hint=hint), np.zeros(shape))
+
+    @settings(max_examples=15)
+    @given(n1=side, n2=side, n3=slices, transform=transforms, top_copies=st.integers(2, 4),
+           low_copies=st.integers(0, 2), seed=seeds)
+    def test_repeated_singular_values(self, n1, n2, n3, transform, top_copies, low_copies, seed):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        sigmas = np.array([20.0] * top_copies + [7.0] * low_copies)
+        a = low_rank_stack(rng, (n1, n2, n3), sigmas, 0.0, u)
+        hint = SubspaceHint()
+        svt(a, TAU, u, hint=hint)
+        b = low_rank_stack(rng, (n1, n2, n3), sigmas, 0.0, u) if seed % 2 else a
+        assert_matches_full_svt(svt(b, TAU, u, hint=hint), b, TAU, u)
+
+    def test_warm_call_factorizes_only_the_small_projection(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        u = dct_transform(3)
+        shape = (TRUNCATED_MIN_SIDE + 6, TRUNCATED_MIN_SIDE, 3)
+        a = low_rank_stack(rng, shape, spectrum(rng, 4), 0.02, u)
+        hint = SubspaceHint()
+        svt(a, TAU, u, hint=hint)
+        shapes = []
+        real_svd = np.linalg.svd
+
+        def spy(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real_svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        b = a + 0.01 * rng.standard_normal(shape)
+        out = svt(b, TAU, u, hint=hint)
+        width = 4 + SUBSPACE_OVERSAMPLE
+        assert shapes == [(3, width, width)]
+        assert_matches_full_svt(out, b, TAU, u)
+
+    def test_below_the_gate_the_hint_is_unused(self):
+        rng = np.random.default_rng(5)
+        u = dct_transform(2)
+        shape = (TRUNCATED_MIN_SIDE - 1, 80, 2)
+        a = low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u)
+        hint = SubspaceHint()
+        for b in (a, a + 0.01 * rng.standard_normal(shape)):
+            np.testing.assert_array_equal(svt(b, TAU, u, hint=hint), svt(b, TAU, u))
+            assert hint.basis is None
+
+    def test_failed_certificate_falls_back_to_the_full_svd(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        u = dct_transform(2)
+        shape = (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE, 2)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u), TAU, u, hint=hint)
+        b = low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u)
+        monkeypatch.setattr(penalties, "MAX_POWER_STEPS", 0)
+        np.testing.assert_array_equal(svt(b, TAU, u, hint=hint), svt(b, TAU, u))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ttlearn.tensor_ops as top
-from ttlearn import solver
+from ttlearn import penalties, solver
 from ttlearn.losses import CompletionLoss, LogisticLoss
-from ttlearn.penalties import KINDS, Penalty, dc_smooth_grad, svt
+from ttlearn.penalties import KINDS, TRUNCATED_MIN_SIDE, Penalty, dc_smooth_grad, svt
 from ttlearn.solver import (
     ADMMConfig,
     NumericalDivergenceError,
@@ -15,6 +15,7 @@ from ttlearn.solver import (
     objective_value,
     pmm_solve,
 )
+from ttlearn.tasks import synth_completion
 from ttlearn.transforms import dct_transform, identity_transform
 
 MCP = Penalty("mcp", lam=1.0, gamma=2.7)
@@ -240,7 +241,9 @@ class TestADMMSubproblem:
         assert iters_warm <= iters_cold
 
 
-def eager_admm_subproblem(xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None):
+def eager_admm_subproblem(
+    xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *, hints=None
+):
     """The ADMM inner loop with every KKT residual computed in full at every check."""
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
@@ -252,11 +255,14 @@ def eager_admm_subproblem(xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, 
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
+    m_hint, eta_d_hint = hints or (None, None)
     for iterations in range(1, admm_cfg.max_inner + 1):
-        m = svt(x + z / eta, threshold, u)
+        m = svt(x + z / eta, threshold, u, hint=m_hint)
         x = top.project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
-        residuals = kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg)
+        residuals = kkt_residuals(
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, hint=eta_d_hint
+        )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
     return x, m, z, residuals, iterations
@@ -443,3 +449,44 @@ class TestPMMSolve:
             pmm_solve(loss, MCP, identity_transform(1), cfg, ADMMConfig(), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             pmm_solve(loss, MCP, identity_transform(1), cfg, ADMMConfig(), np.full((2, 2, 1), np.inf))
+
+
+class TestTruncatedSVTInSolve:
+    """A completion above the size gate, where the inner solver's ``svt`` calls go truncated."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        u = dct_transform(2)
+        dims = (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE, 2)
+        _, y_obs, mask = synth_completion(dims, 2, 0.6, 0.01, u, seed=0)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=12.0, gamma=2.7)
+        cfg = PMMConfig(rho=6.0, beta=2.0, box_c=10.0, max_outer=60)
+        return loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4)
+
+    def test_same_iteration_counts_as_without_the_hints(self, problem, monkeypatch):
+        loss, pen, u, cfg, admm = problem
+        accepted = []
+        truncated = penalties._truncated_svt
+
+        def counting(*args):
+            out = truncated(*args)
+            accepted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(penalties, "_truncated_svt", counting)
+        x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert trace.converged and sum(accepted) > 100
+        monkeypatch.setattr(solver, "svt", lambda a, tau, u, hint=None: svt(a, tau, u))
+        ref_x, ref_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert [e.inner_iterations for e in trace.entries] == [
+            e.inner_iterations for e in ref_trace.entries
+        ]
+        assert top.fro_norm(x - ref_x) <= 1e-8 * top.fro_norm(ref_x)
+
+    def test_repeated_solves_are_identical(self, problem):
+        loss, pen, u, cfg, admm = problem
+        x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        again_x, again_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert np.array_equal(x, again_x)
+        assert trace.to_dict() == again_trace.to_dict()

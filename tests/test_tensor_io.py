@@ -50,6 +50,16 @@ def test_truncated_payload_offset(tmp_path):
     assert excinfo.value.offset == 24
 
 
+@pytest.mark.parametrize("dims", [(100_000, 100_000, 1), (2**32 - 1,) * 3])
+def test_header_claiming_more_than_the_file_holds(tmp_path, dims):
+    # reading the claimed payload first would raise MemoryError or OverflowError
+    path = tmp_path / "claims.tns"
+    path.write_bytes(MAGIC + struct.pack("<III", *dims) + b"\x00" * 8)
+    with pytest.raises(TensorFormatError, match="truncated payload") as excinfo:
+        read_tensor(path)
+    assert excinfo.value.offset == 24
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "extra.tns"
     path.write_bytes(MAGIC + struct.pack("<III", 1, 1, 1) + b"\x00" * 9)

@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Digests of a fixed set of 17 ttlearn CLI commands, for byte-identity checks.
+
+    python3 tools/cli_digests.py [--src DIR] > digests.txt
+
+Runs every command of ``COMMANDS`` in order as ``python -m ttlearn.cli``,
+with ttlearn imported from ``DIR`` (default: this checkout's ``src``), in
+one fresh temporary directory. For each command it prints the exit code,
+the SHA-256 of the result JSON without its top-level ``timing`` key (key
+order kept), of every file the command wrote or changed, and of standard
+output and standard error. In standard error the source location of a
+warning is replaced by ``<source>`` and the source line Python echoes
+below it is dropped, so moving a ``warnings.warn`` call changes no digest.
+
+Run it against two checkouts and diff the outputs: a change whose result
+JSON, files and messages are byte-identical prints identical lines.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CONFIG = {
+    "paths": {
+        "observed": "inst_observed.tns",
+        "mask": "inst_mask.tns",
+        "truth": "inst_truth.tns",
+    },
+    "lambda": 2.0,
+    "beta": 2.0,
+    "rho": 4.0,
+    "tol_inner": 1e-3,
+}
+INSTANCE = ["--observed", "inst_observed.tns", "--mask", "inst_mask.tns"]
+CLASSIFY_FILES = [
+    "--train-samples", "cls_train_samples.tns", "--train-labels", "cls_train_labels.txt",
+    "--test-samples", "cls_test_samples.tns", "--test-labels", "cls_test_labels.txt",
+]
+SMALL = ["complete", "--synthetic", "--dims", "6x6x2"]
+COMMANDS = [
+    ["synth", "--task", "complete", "--dims", "12x12x4", "--rank", "2", "--sr", "0.5",
+     "--sigma", "0.01", "--seed", "7", "--out-prefix", "inst"],
+    ["synth", "--task", "classify", "--dims", "5x5x3", "--rank", "1", "--n-train", "120",
+     "--n-test", "60", "--seed", "2", "--out-prefix", "cls"],
+    ["complete", *INSTANCE, "--truth", "inst_truth.tns", "--lambda", "2", "--beta", "2",
+     "--rho", "4", "--tol-inner", "1e-3", "--output", "rec.tns"],
+    ["complete", *INSTANCE, "--truth", "inst_truth.tns", "--penalty", "scad", "--gamma", "3.7",
+     "--lambda", "2", "--beta", "2", "--transform", "data", "--pilot-max-outer", "10",
+     "--output", "rec_scad.tns"],
+    ["complete", *INSTANCE, "--penalty", "scad", "--gamma", "3.7", "--lambda", "4",
+     "--beta", "2", "--rho", "6", "--transform", "data", "--pilot-max-outer", "10"],
+    ["complete", "--synthetic", "--dims", "8x8x2", "--rank", "1", "--sr", "0.7", "--sigma", "0",
+     "--seed", "1", "--lambda-grid", "1,2", "--beta-grid", "1,2", "--rho", "4",
+     "--tol-inner", "1e-3", "--max-outer", "30"],
+    ["classify", *CLASSIFY_FILES, "--transform", "data", "--lambda", "0.2", "--beta", "0.5",
+     "--rho", "0.2", "--tol-inner", "1e-3", "--max-outer", "60", "--output", "coeff.tns"],
+    ["classify", "--synthetic", "--dims", "4x4x2", "--rank", "1", "--n-train", "100",
+     "--n-test", "40", "--seed", "4", "--penalty", "log", "--gamma", "1", "--lambda", "0.2",
+     "--beta", "0.5", "--rho", "0.2", "--tol-inner", "1e-3", "--max-outer", "50"],
+    ["classify", "--synthetic", "--dims", "4x4x2", "--rank", "1", "--n-train", "60",
+     "--n-test", "20", "--seed", "1", "--max-outer", "20"],
+    ["complete", "--config", "cfg.json", "--max-outer", "20"],
+    [*SMALL, "--tau", "2.0"],
+    [*SMALL, "--lambda", "0"],
+    [*SMALL, "--penalty", "scad", "--gamma", "1"],
+    [*SMALL, "--xi", "0.7"],
+    [*SMALL, "--lambda-grid", "0,1", "--max-outer", "5"],
+    ["tsvd", "--input", "rec.tns", "--pilot", "inst_truth.tns"],
+    ["metrics", "rec.tns", "inst_truth.tns"],
+]
+_WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def normalize_stderr(text: str) -> str:
+    """Replace each warning's source location and drop the source line echoed below it."""
+    lines, echoed = [], False
+    for line in text.splitlines():
+        match = _WARNING.match(line)
+        if match:
+            lines.append(f"<source>: {match.group(1)}")
+            echoed = True
+        elif echoed and line.startswith("  "):
+            echoed = False
+        else:
+            lines.append(line)
+            echoed = False
+    return "\n".join(lines)
+
+
+def snapshot(work: Path) -> dict[str, str]:
+    return {p.name: sha256(p.read_bytes()) for p in sorted(work.iterdir()) if p.is_file()}
+
+
+def result_digest(path: Path) -> str:
+    if not path.exists():
+        return "none"
+    result = json.loads(path.read_text())
+    result.pop("timing", None)
+    return sha256(json.dumps(result).encode())
+
+
+def run_all(src: Path, work: Path):
+    """Yield ``(index, argv, lines)`` for every command, run in ``work``."""
+    (work / "cfg.json").write_text(json.dumps(CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for index, argv in enumerate(COMMANDS, 1):
+        results = f"result{index:02d}.json"
+        before = snapshot(work)
+        done = subprocess.run(
+            [sys.executable, "-m", "ttlearn.cli", *argv, "--results", results],
+            cwd=work, env=env, capture_output=True,
+        )
+        after = snapshot(work)
+        lines = [f"exit {done.returncode}", f"result {result_digest(work / results)}"]
+        lines += [
+            f"file {name} {digest}" for name, digest in after.items()
+            if name != results and before.get(name) != digest
+        ]
+        lines.append(f"stdout {sha256(done.stdout)}")
+        stderr = normalize_stderr(done.stderr.decode())
+        lines.append(f"stderr {sha256(stderr.encode())}")
+        yield index, argv, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the ttlearn package (default: ./src)")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "ttlearn" / "cli.py").is_file():
+        parser.error(f"no ttlearn package under {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, command, lines in run_all(src, Path(tmp)):
+            print(f"[{index:02d}] ttlearn {' '.join(command)}")
+            for line in lines:
+                print(f"  {line}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
