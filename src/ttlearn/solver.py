@@ -238,7 +238,13 @@ def admm_subproblem(
     it, except on the last allowed iteration, so the returned residuals are
     always complete. ``hints`` are the subspace hints of the ``m``-update's
     ``svt`` and of ``eta_d``'s, in that order; without them every ``svt``
-    call makes a full SVD.
+    call makes a full SVD. Without hints, or below ``svt``'s size gate,
+    iterates, stop decisions and residuals are bit for bit those of a loop
+    that computes ``eta_d`` on every iteration. Above the gate the skipped
+    ``eta_d`` calls leave the ``eta_d`` hint on an older subspace, so the
+    ``eta_d`` values agree with that loop's only within the truncated
+    kernel's certified error, and a stop decision that close to
+    ``tol_inner`` could differ.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau

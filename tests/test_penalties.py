@@ -453,11 +453,70 @@ class TestTruncatedSVT:
             return real_svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        b = a + 0.01 * rng.standard_normal(shape)
-        out = svt(b, TAU, u, hint=hint)
         width = 4 + SUBSPACE_OVERSAMPLE
+        results = []
+        for _ in range(3):
+            shapes.clear()
+            steps = hint.steps
+            b = a + 0.01 * rng.standard_normal(shape)
+            results.append((svt(b, TAU, u, hint=hint), b))
+            # one factorization per power step from the remembered count on
+            assert shapes == [(3, width, width)] * (hint.steps - steps + 1)
         assert shapes == [(3, width, width)]
-        assert_matches_full_svt(out, b, TAU, u)
+        monkeypatch.undo()
+        for out, b in results:
+            assert_matches_full_svt(out, b, TAU, u)
+
+    def test_singular_value_outside_the_hint_is_not_missed(self):
+        # the hint spans e1 and e3..e12; the second matrix adds 5 along e2,
+        # which no power step from that basis can reach
+        n = TRUNCATED_MIN_SIDE
+        u = identity_transform(1)
+        diagonal = np.zeros(n)
+        diagonal[0], diagonal[2:12] = 10.0, 1.0
+        hint = SubspaceHint()
+        svt(np.diag(diagonal)[:, :, None], TAU, u, hint=hint)
+        assert hint.basis is not None
+        diagonal[1] = 5.0
+        out = svt(np.diag(diagonal)[:, :, None], TAU, u, hint=hint)
+        assert out[1, 1, 0] == pytest.approx(5.0 - TAU)
+        assert_matches_full_svt(out, np.diag(diagonal)[:, :, None], TAU, u)
+
+    @settings(max_examples=25)
+    @given(n1=side, n2=side, n3=slices, transform=transforms, rank=st.integers(1, 6),
+           strength=st.floats(TAU + 0.1, 40.0), seed=seeds)
+    def test_direction_orthogonal_to_the_hint(self, n1, n2, n3, transform, rank, strength, seed):
+        rng = np.random.default_rng(seed)
+        u = transform(n3)
+        a = low_rank_stack(rng, (n1, n2, n3), spectrum(rng, rank), 0.02, u)
+        hint = SubspaceHint()
+        svt(a, TAU, u, hint=hint)
+        # add, in every transformed slice, a rank-one term whose right vector
+        # is orthogonal to the remembered basis V and whose left vector is
+        # orthogonal to A V: the first power step does not see it
+        ahat = top.apply_transform(a, u)
+        for k in range(n3):
+            basis = hint.basis[k]
+            image, _ = np.linalg.qr(ahat[:, :, k] @ basis)
+            y = rng.standard_normal(n2)
+            y -= basis @ (basis.T @ y)
+            x = rng.standard_normal(n1)
+            x -= image @ (image.T @ x)
+            ahat[:, :, k] += strength * np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
+        b = top.inverse_transform(ahat, u)
+        assert_matches_full_svt(svt(b, TAU, u, hint=hint), b, TAU, u)
+
+    def test_noise_above_the_bound_leaves_no_hint(self):
+        # noise of spectral norm near 1.3 < TAU keeps the width at 12, but
+        # its Frobenius norm outside the subspace, near 4.7, fails the bound
+        rng = np.random.default_rng(7)
+        u = dct_transform(2)
+        shape = (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE, 2)
+        hint = SubspaceHint()
+        svt(low_rank_stack(rng, shape, spectrum(rng, 2), 0.08, u), TAU, u, hint=hint)
+        assert hint.basis is None
+        svt(low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u), TAU, u, hint=hint)
+        assert hint.basis is not None
 
     def test_below_the_gate_the_hint_is_unused(self):
         rng = np.random.default_rng(5)
