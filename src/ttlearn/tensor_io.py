@@ -17,6 +17,7 @@ from .tensor_ops import as_tensor3
 
 MAGIC = b"TNS1"
 _HEADER = struct.Struct("<4sIII")
+READ_CHUNK_BYTES = 1 << 20
 
 
 class TensorFormatError(ValueError):
@@ -36,6 +37,18 @@ def write_tensor(path, x: np.ndarray) -> None:
         fh.write(payload.tobytes())
 
 
+def _read_chunked(fh, size: int) -> bytes:
+    """Up to ``size`` bytes of ``fh``, never buffering more than has arrived."""
+    chunks, got = [], 0
+    while got < size:
+        chunk = fh.read(min(READ_CHUNK_BYTES, size - got))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -47,12 +60,17 @@ def read_tensor(path) -> np.ndarray:
         if min(n1, n2, n3) == 0:
             raise TensorFormatError("zero dimension in header", 4)
         expected = 8 * n1 * n2 * n3
-        # a header may claim more than memory holds; check a regular file's
-        # size before reading so such a file fails like any short one
+        # a header may claim more than memory holds, so no read may ask for
+        # the claimed size before the data is known to exist: a regular file
+        # is checked against its size, and anything else (a pipe reports
+        # size 0) is read in bounded chunks that stop at its end
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size - _HEADER.size < expected:
-            raise TensorFormatError("truncated payload", info.st_size)
-        payload = fh.read(expected)
+        if stat.S_ISREG(info.st_mode):
+            if info.st_size - _HEADER.size < expected:
+                raise TensorFormatError("truncated payload", info.st_size)
+            payload = fh.read(expected)
+        else:
+            payload = _read_chunked(fh, expected)
         if len(payload) < expected:
             raise TensorFormatError("truncated payload", _HEADER.size + len(payload))
         if fh.read(1):

@@ -8,6 +8,7 @@ pure and leave their inputs untouched.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +47,38 @@ def _check_transform(x: np.ndarray, u: OrthogonalTransform) -> None:
         raise ValueError(f"transform size {u.size} does not match n3={x.shape[2]}")
 
 
+def _mix_tubes(x: np.ndarray, mixer: np.ndarray) -> np.ndarray:
+    # One GEMM on the (n1*n2, n3) unfolding. np.dot on this reshape is the
+    # product np.tensordot forms, so results match it bit for bit.
+    n1, n2, n3 = x.shape
+    return np.dot(x.reshape(n1 * n2, n3), mixer).reshape(n1, n2, n3)
+
+
 def apply_transform(x: np.ndarray, u: OrthogonalTransform) -> np.ndarray:
-    """Mix tubes with the transform matrix (fold3 of U times the unfolding)."""
+    """Mix tubes with the transform matrix (fold3 of U times the unfolding).
+
+    The mode-3 product is one matrix product ``X_(3) U^T`` on the tube-major
+    ``(n1*n2, n3)`` unfolding.
+    """
     x = np.asarray(x, dtype=float)
     _check_transform(x, u)
-    return np.tensordot(x, u.matrix, axes=([2], [1]))
+    return _mix_tubes(x, u.matrix.T)
 
 
 def inverse_transform(xhat: np.ndarray, u: OrthogonalTransform) -> np.ndarray:
     """Undo :func:`apply_transform` (mix tubes with the transpose)."""
     xhat = np.asarray(xhat, dtype=float)
     _check_transform(xhat, u)
-    return np.tensordot(xhat, u.matrix, axes=([2], [0]))
+    return _mix_tubes(xhat, u.matrix)
 
 
 def _slices_first(xhat: np.ndarray) -> np.ndarray:
     # (n1, n2, n3) -> (n3, n1, n2) view for batched linear algebra
-    return np.moveaxis(xhat, 2, 0)
+    return xhat.transpose(2, 0, 1)
 
 
 def _slices_last(batch: np.ndarray) -> np.ndarray:
-    return np.moveaxis(batch, 0, 2)
+    return batch.transpose(1, 2, 0)
 
 
 def t_product(a: np.ndarray, b: np.ndarray, u: OrthogonalTransform) -> np.ndarray:
@@ -175,7 +187,8 @@ def project_box(x: np.ndarray, c: float) -> np.ndarray:
 
 
 def fro_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2)))
+    x = np.asarray(x, dtype=float)
+    return math.sqrt((x * x).sum())
 
 
 def inf_norm(x: np.ndarray) -> float:

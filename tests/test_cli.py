@@ -259,10 +259,11 @@ def test_config_file_rejects_unknown_path_key(tmp_path, capsys):
     assert "paths.sideways" in capsys.readouterr().err
 
 
-def run_cli_process(args):
+def run_cli_process(args, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, "-m", "ttlearn.cli", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ttlearn.cli", *args],
+        capture_output=True, text=True, env=env, **kwargs,
     )
 
 
@@ -282,6 +283,23 @@ def test_oversized_tns_header_exits_one_without_traceback(tmp_path):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "truncated payload" in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_oversized_tns_header_from_a_pipe_exits_one_without_traceback(tmp_path):
+    # like `ttlearn metrics <(cat big.tns) big.tns`: a pipe reports no size
+    path = tmp_path / "big.tns"
+    path.write_bytes(b"TNS1" + struct.pack("<III", 100_000, 100_000, 1))
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, path.read_bytes())
+        os.close(write_fd)
+        proc = run_cli_process(["metrics", f"/dev/fd/{read_fd}", str(path)], pass_fds=(read_fd,))
+    finally:
+        os.close(read_fd)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "truncated payload (byte offset 16)" in proc.stderr
 
 
 @pytest.mark.parametrize(

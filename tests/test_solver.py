@@ -268,41 +268,66 @@ def eager_admm_subproblem(
     return x, m, z, residuals, iterations
 
 
+def unhoisted_kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, cfg):
+    """The full KKT residuals with every term of the stop test recomputed at each call."""
+    norm_m, norm_x, norm_z = top.fro_norm(m), top.fro_norm(x), top.fro_norm(z)
+    eta_e = top.fro_norm(m - x) / (1 + norm_m + norm_x)
+    rho = cfg.rho
+    stationarity_point = xt - (grad_f_xt - cfg.beta * grad_s2_xt + z) / rho
+    numerator = top.fro_norm(x - top.project_box(stationarity_point, cfg.box_c))
+    denominator = (
+        1
+        + norm_z / rho
+        + top.fro_norm(xt)
+        + top.fro_norm(grad_f_xt) / rho
+        + cfg.beta * top.fro_norm(grad_s2_xt) / rho
+    )
+    eta_d = top.fro_norm(m - svt(m + z, cfg.beta * pen.lam, u)) / (1 + norm_m + norm_z)
+    return solver.KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=numerator / denominator)
+
+
 GAMMA = {"mcp": 2.7, "scad": 3.7, "log": 1.0, "convex": 0.0}
+
+# random small subproblems, all below svt's size gate
+SUBPROBLEMS = dict(
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+    n3=st.integers(1, 3),
+    transform=st.sampled_from([identity_transform, dct_transform]),
+    kind=st.sampled_from(KINDS),
+    lam=st.floats(0.05, 2.0),
+    beta=st.floats(0.0, 2.0),
+    rho=st.floats(0.5, 10.0),
+    box_c=st.floats(0.2, 3.0),
+    tol_inner=st.sampled_from([1e-6, 3e-4, 3e-3, 5e-2, 0.5]),
+    max_inner=st.integers(1, 5),
+    warm=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def subproblem_args(
+    n1, n2, n3, transform, kind, lam, beta, rho, box_c, tol_inner, max_inner, warm, seed
+):
+    """Positional arguments of :func:`admm_subproblem` for one drawn subproblem."""
+    rng = np.random.default_rng(seed)
+    shape = (n1, n2, n3)
+    xt, gf, gs2 = (rng.standard_normal(shape) for _ in range(3))
+    start = tuple(rng.standard_normal(shape) for _ in range(3)) if warm else None
+    pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
+    return (
+        xt, gf, gs2, pen, transform(n3),
+        PMMConfig(rho=rho, beta=beta, box_c=box_c),
+        ADMMConfig(max_inner=max_inner, tol_inner=tol_inner), start,
+    )
 
 
 class TestLazyKKTCheck:
     """Skipping eta_d's SVD must not change any iterate, count or residual."""
 
-    @given(
-        n1=st.integers(1, 6),
-        n2=st.integers(1, 6),
-        n3=st.integers(1, 3),
-        transform=st.sampled_from([identity_transform, dct_transform]),
-        kind=st.sampled_from(KINDS),
-        lam=st.floats(0.05, 2.0),
-        beta=st.floats(0.0, 2.0),
-        rho=st.floats(0.5, 10.0),
-        box_c=st.floats(0.2, 3.0),
-        tol_inner=st.sampled_from([1e-6, 3e-4, 3e-3, 5e-2, 0.5]),
-        max_inner=st.integers(1, 5),
-        warm=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_eager_loop(
-        self, n1, n2, n3, transform, kind, lam, beta, rho, box_c, tol_inner, max_inner,
-        warm, seed,
-    ):
-        rng = np.random.default_rng(seed)
-        shape = (n1, n2, n3)
-        xt, gf, gs2 = (rng.standard_normal(shape) for _ in range(3))
-        start = tuple(rng.standard_normal(shape) for _ in range(3)) if warm else None
-        pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
-        args = (
-            xt, gf, gs2, pen, transform(n3),
-            PMMConfig(rho=rho, beta=beta, box_c=box_c),
-            ADMMConfig(max_inner=max_inner, tol_inner=tol_inner), start,
-        )
+    @given(**SUBPROBLEMS)
+    def test_matches_eager_loop(self, **drawn):
+        args = subproblem_args(**drawn)
         x, m, z, res, iters = admm_subproblem(*args)
         ref_x, ref_m, ref_z, ref_res, ref_iters = eager_admm_subproblem(*args)
         assert np.array_equal(x, ref_x)
@@ -311,6 +336,16 @@ class TestLazyKKTCheck:
         assert iters == ref_iters
         assert res.eta_res == ref_res.eta_res
         assert res == ref_res
+
+    @given(**SUBPROBLEMS)
+    def test_hoisted_stop_test_terms_keep_the_bits(self, **drawn):
+        # admm_subproblem computes the x_t-only terms of the stop test once;
+        # a standalone call and the unhoisted formula must give the same bits
+        args = subproblem_args(**drawn)
+        x, m, z, res, _ = admm_subproblem(*args)
+        xt, gf, gs2, pen, u, cfg = args[:6]
+        assert kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg, tol=None) == res
+        assert unhoisted_kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg) == res
 
     def test_pmm_trace_matches_eager_loop(self, monkeypatch):
         rng = np.random.default_rng(21)

@@ -1,9 +1,34 @@
+import os
 import struct
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from ttlearn import tensor_io
 from ttlearn.tensor_io import MAGIC, TensorFormatError, read_tensor, write_tensor
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
+@contextmanager
+def pipe_carrying(data: bytes):
+    """A ``/dev/fd/N`` path whose reads return ``data`` from a pipe, then end of file."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        writer.join(timeout=30)
+        os.close(read_fd)
+    assert not writer.is_alive()
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -86,3 +111,31 @@ def test_non_finite_payload_detected_with_offset(tmp_path):
 def test_write_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         write_tensor(tmp_path / "x.tns", np.full((1, 1, 1), np.inf))
+
+
+@needs_dev_fd
+@pytest.mark.parametrize("dims", [(100_000, 100_000, 1), (2**32 - 1,) * 3])
+def test_piped_header_claiming_more_than_the_pipe_holds(dims):
+    # a pipe has no size to check first; reading the claimed payload in one
+    # call would raise MemoryError or OverflowError
+    with pipe_carrying(MAGIC + struct.pack("<III", *dims) + b"\x00" * 8) as path:
+        with pytest.raises(TensorFormatError, match="truncated payload") as excinfo:
+            read_tensor(path)
+    assert excinfo.value.offset == 24
+
+
+@needs_dev_fd
+def test_piped_round_trip_spans_several_chunks(tmp_path):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((64, 64, 100))
+    assert 8 * x.size > 3 * tensor_io.READ_CHUNK_BYTES
+    write_tensor(tmp_path / "x.tns", x)
+    with pipe_carrying((tmp_path / "x.tns").read_bytes()) as path:
+        np.testing.assert_array_equal(read_tensor(path), x)
+
+
+@needs_dev_fd
+def test_piped_trailing_bytes_rejected():
+    with pipe_carrying(MAGIC + struct.pack("<III", 1, 1, 1) + b"\x00" * 9) as path:
+        with pytest.raises(TensorFormatError, match="trailing"):
+            read_tensor(path)

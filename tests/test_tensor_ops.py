@@ -348,3 +348,64 @@ def test_reconstruction_over_random_corpus():
             f = top.t_svd(x, u)
             err = top.fro_norm(f.reconstruct() - x)
             assert err <= 1e-10 * max(top.fro_norm(x), 1e-12)
+
+
+def _layouts(x):
+    """``x`` as a contiguous array and as three non-contiguous views of the same values."""
+    n1, n2, n3 = x.shape
+    wide = np.zeros((n1, n2, 2 * n3))
+    wide[:, :, ::2] = x
+    return {
+        "contiguous": x,
+        "transposed": np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2),
+        "slices-last": np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0),
+        "strided": wide[:, :, ::2],
+    }
+
+
+class TestKernelsMatchReferenceFormulas:
+    """The GEMM transforms and the norm equal the formulas they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["identity", "dct", "data"])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (10, 10, 3), (7, 5, 4), (30, 30, 10), (3, 2, 12)])
+    def test_transforms_equal_tensordot(self, kind, shape):
+        from ttlearn.transforms import data_driven_transform
+
+        rng = np.random.default_rng(sum(shape))
+        n3 = shape[2]
+        u = {
+            "identity": lambda: identity_transform(n3),
+            "dct": lambda: dct_transform(n3),
+            "data": lambda: data_driven_transform(rng.standard_normal(shape)),
+        }[kind]()
+        for name, x in _layouts(rng.standard_normal(shape)).items():
+            forward = np.tensordot(x, u.matrix, axes=([2], [1]))
+            backward = np.tensordot(x, u.matrix, axes=([2], [0]))
+            assert np.array_equal(top.apply_transform(x, u), forward), name
+            assert np.array_equal(top.inverse_transform(x, u), backward), name
+
+    def test_slice_views_equal_moveaxis(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        first = top._slices_first(x)
+        assert first.strides == np.moveaxis(x, 2, 0).strides
+        assert np.shares_memory(first, x) and np.array_equal(first, np.moveaxis(x, 2, 0))
+        last = top._slices_last(first)
+        assert last.strides == x.strides and np.array_equal(last, x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.zeros((2, 3, 2)),
+            np.random.default_rng(31).standard_normal((10, 10, 3)),
+            np.random.default_rng(32).standard_normal((30, 30, 10)) * 1e-160,
+            np.random.default_rng(33).standard_normal((4, 5, 6)).transpose(2, 0, 1),
+            [[[1, 2], [3, 4]]],
+            7,
+        ],
+        ids=["zero", "small", "tiny-values", "transposed", "int-list", "int"],
+    )
+    def test_fro_norm_equals_sqrt_of_sum_of_squares(self, x):
+        expected = np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2))
+        got = top.fro_norm(x)
+        assert type(got) is float
+        assert got == float(expected)

@@ -2,6 +2,7 @@
 """Digests of a fixed set of 17 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
+    python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
 
 Runs every command of ``COMMANDS`` in order as ``python -m ttlearn.cli``,
 with ttlearn imported from ``DIR`` (default: this checkout's ``src``), in
@@ -12,8 +13,11 @@ output and standard error. In standard error the source location of a
 warning is replaced by ``<source>`` and the source line Python echoes
 below it is dropped, so moving a ``warnings.warn`` call changes no digest.
 
-Run it against two checkouts and diff the outputs: a change whose result
-JSON, files and messages are byte-identical prints identical lines.
+With ``--against OTHER_SRC`` it runs the commands against both trees, each
+in its own fresh directory, prints only the commands whose lines differ
+(``-`` lines from ``OTHER_SRC``, ``+`` lines from ``DIR``) and exits 1 if
+any does, 0 if the two trees give byte-identical results, files and
+messages.
 """
 from __future__ import annotations
 
@@ -133,20 +137,60 @@ def run_all(src: Path, work: Path):
         yield index, argv, lines
 
 
+def digests(src: Path) -> list[tuple[int, list[str], list[str]]]:
+    """Every command's ``(index, argv, lines)``, run in a fresh temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return list(run_all(src, Path(tmp)))
+
+
+def header(index: int, command: list[str]) -> str:
+    return f"[{index:02d}] ttlearn {' '.join(command)}"
+
+
+def differences(ours, theirs) -> tuple[list[str], int]:
+    """Report lines for the commands whose lines differ, and how many do.
+
+    Both arguments are :func:`digests` results for the same ``COMMANDS``;
+    a differing command is printed with its ``theirs``-only lines as ``-``
+    and its ``ours``-only lines as ``+``.
+    """
+    report, differ = [], 0
+    for (index, command, new), (_, _, old) in zip(ours, theirs, strict=True):
+        if new == old:
+            continue
+        differ += 1
+        report.append(header(index, command))
+        report += [f"  - {line}" for line in old if line not in new]
+        report += [f"  + {line}" for line in new if line not in old]
+    return report, differ
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory that holds the ttlearn package (default: ./src)")
+    parser.add_argument("--against", type=Path, metavar="OTHER_SRC",
+                        help="also run against this ttlearn source directory and print "
+                             "only the commands that differ; exit 1 if any does")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    if not (src / "ttlearn" / "cli.py").is_file():
-        parser.error(f"no ttlearn package under {src}")
-    with tempfile.TemporaryDirectory() as tmp:
-        for index, command, lines in run_all(src, Path(tmp)):
-            print(f"[{index:02d}] ttlearn {' '.join(command)}")
+    trees = [args.src.resolve()]
+    if args.against is not None:
+        trees.append(args.against.resolve())
+    for src in trees:
+        if not (src / "ttlearn" / "cli.py").is_file():
+            parser.error(f"no ttlearn package under {src}")
+    if args.against is None:
+        for index, command, lines in digests(trees[0]):
+            print(header(index, command))
             for line in lines:
                 print(f"  {line}")
-    return 0
+        return 0
+    ours, theirs = digests(trees[0]), digests(trees[1])
+    report, differ = differences(ours, theirs)
+    for line in report:
+        print(line)
+    print(f"{differ} of {len(ours)} commands differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
