@@ -236,7 +236,8 @@ def kkt_residuals(
     rho = cfg.rho
     stationarity_point = xt - (terms.offset + z) / rho
     numerator = fro_norm(x - project_box(stationarity_point, cfg.box_c))
-    # summed left to right, in the order of the unhoisted expression
+    # added left to right in this order: regrouping the constant terms would
+    # change the rounding of eta_p, and with it the recorded residuals
     denominator = 1 + norm_z / rho + terms.norm_xt + terms.grad_f_term + terms.grad_s2_term
     eta_p = numerator / denominator
     if tol is not None and max(eta_e, eta_p) > tol:
