@@ -174,34 +174,6 @@ def objective_value(
     return value, inf_norm(x) <= cfg.box_c + FEASIBILITY_SLACK
 
 
-@dataclass(frozen=True)
-class StopTestTerms:
-    """The parts of the inner stop test that depend only on the subproblem's data.
-
-    ``offset`` is ``grad_f_xt - beta * grad_s2_xt``, the constant part of
-    the stationarity point; ``norm_xt``, ``grad_f_term`` and
-    ``grad_s2_term`` are the ``||x_t||``, ``||grad f||/rho`` and
-    ``beta ||grad S2||/rho`` terms of ``eta_p``'s denominator. They are
-    fixed for a whole subproblem, so :func:`admm_subproblem` computes them
-    once and hands them to every :func:`kkt_residuals` call.
-    """
-
-    offset: np.ndarray
-    norm_xt: float
-    grad_f_term: float
-    grad_s2_term: float
-
-    @classmethod
-    def of(cls, xt, grad_f_xt, grad_s2_xt, cfg: PMMConfig) -> "StopTestTerms":
-        rho, beta = cfg.rho, cfg.beta
-        return cls(
-            offset=grad_f_xt - beta * grad_s2_xt,
-            norm_xt=fro_norm(xt),
-            grad_f_term=fro_norm(grad_f_xt) / rho,
-            grad_s2_term=beta * fro_norm(grad_s2_xt) / rho,
-        )
-
-
 def kkt_residuals(
     x: np.ndarray,
     m: np.ndarray,
@@ -215,7 +187,6 @@ def kkt_residuals(
     *,
     tol: float | None = None,
     hint: SubspaceHint | None = None,
-    terms: StopTestTerms | None = None,
 ) -> KKTResiduals:
     """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
 
@@ -223,22 +194,22 @@ def kkt_residuals(
     are computed first, and if either exceeds ``tol`` the stop test
     ``eta_res <= tol`` fails whatever ``eta_d`` is, so ``eta_d`` is returned
     as ``inf`` without the SVD. With ``tol=None`` all three are computed.
-    ``hint`` is handed to the ``svt`` call of ``eta_d``. ``terms`` are the
-    :class:`StopTestTerms` of ``(xt, grad_f_xt, grad_s2_xt)``, computed here
-    when not given; the result is the same bits either way.
+    ``hint`` is handed to the ``svt`` call of ``eta_d``.
     """
-    if terms is None:
-        terms = StopTestTerms.of(xt, grad_f_xt, grad_s2_xt, cfg)
     norm_m = fro_norm(m)
     norm_x = fro_norm(x)
     norm_z = fro_norm(z)
     eta_e = fro_norm(m - x) / (1 + norm_m + norm_x)
     rho = cfg.rho
-    stationarity_point = xt - (terms.offset + z) / rho
+    stationarity_point = xt - (grad_f_xt - cfg.beta * grad_s2_xt + z) / rho
     numerator = fro_norm(x - project_box(stationarity_point, cfg.box_c))
-    # added left to right in this order: regrouping the constant terms would
-    # change the rounding of eta_p, and with it the recorded residuals
-    denominator = 1 + norm_z / rho + terms.norm_xt + terms.grad_f_term + terms.grad_s2_term
+    denominator = (
+        1
+        + norm_z / rho
+        + fro_norm(xt)
+        + fro_norm(grad_f_xt) / rho
+        + cfg.beta * fro_norm(grad_s2_xt) / rho
+    )
     eta_p = numerator / denominator
     if tol is not None and max(eta_e, eta_p) > tol:
         return KKTResiduals(eta_e=eta_e, eta_d=float("inf"), eta_p=eta_p)
@@ -287,7 +258,6 @@ def admm_subproblem(
     # constant part of the x-update numerator
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
-    terms = StopTestTerms.of(xt, grad_f_xt, grad_s2_xt, pmm_cfg)
     m_hint, eta_d_hint = hints or (None, None)
     for iterations in range(1, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=m_hint)
@@ -295,8 +265,7 @@ def admm_subproblem(
         z = z + tau * eta * (x - m)
         tol = None if iterations == admm_cfg.max_inner else admm_cfg.tol_inner
         residuals = kkt_residuals(
-            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg,
-            tol=tol, hint=eta_d_hint, terms=terms,
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, tol=tol, hint=eta_d_hint
         )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break

@@ -7,8 +7,6 @@ Write-then-read round trips are bit-exact.
 """
 from __future__ import annotations
 
-import os
-import stat
 import struct
 
 import numpy as np
@@ -60,17 +58,10 @@ def read_tensor(path) -> np.ndarray:
         if min(n1, n2, n3) == 0:
             raise TensorFormatError("zero dimension in header", 4)
         expected = 8 * n1 * n2 * n3
-        # a header may claim more than memory holds, so no read may ask for
-        # the claimed size before the data is known to exist: a regular file
-        # is checked against its size, and anything else (a pipe reports
-        # size 0) is read in bounded chunks that stop at its end
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            if info.st_size - _HEADER.size < expected:
-                raise TensorFormatError("truncated payload", info.st_size)
-            payload = fh.read(expected)
-        else:
-            payload = _read_chunked(fh, expected)
+        # a header may claim more than memory holds, and a pipe has no size
+        # to check it against, so the payload is read in bounded chunks that
+        # stop at the end of the data
+        payload = _read_chunked(fh, expected)
         if len(payload) < expected:
             raise TensorFormatError("truncated payload", _HEADER.size + len(payload))
         if fh.read(1):
