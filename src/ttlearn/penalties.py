@@ -1,9 +1,9 @@
 """Folded-concave spectral penalties and their difference-of-convex calculus.
 
 The scalar family g(x) is applied to the singular values of every transformed
-frontal slice. Each kind splits as g = s1 - s2 with s1(x) = lam*x and s2
-convex differentiable; the solver linearizes s2 and keeps the nuclear-norm
-part s1, whose proximal map is singular-value thresholding (:func:`svt`).
+frontal slice. Each kind states only its convex differentiable s2; g is
+derived as s1 - s2 with s1(x) = lam*x. The solver linearizes s2 and keeps the
+nuclear-norm part s1, whose proximal map is singular-value thresholding (svt).
 """
 from __future__ import annotations
 
@@ -78,19 +78,7 @@ class Penalty:
         return x
 
     def g(self, x) -> np.ndarray:
-        x = self._domain(x)
-        lam, gamma = self.lam, self.gamma
-        if self.kind == "convex":
-            return lam * x
-        if self.kind == "mcp":
-            return np.where(x <= gamma * lam, lam * x - x**2 / (2 * gamma), 0.5 * gamma * lam**2)
-        if self.kind == "scad":
-            return np.select(
-                [x < lam, x < gamma * lam],
-                [lam * x, (-(x**2) + 2 * gamma * lam * x - lam**2) / (2 * (gamma - 1))],
-                default=lam**2 * (gamma + 1) / 2,
-            )
-        return lam * np.log1p(x / gamma)
+        return self.s1(x) - self.s2(x)
 
     def g_prime(self, x) -> np.ndarray:
         return self.lam - self.s2_prime(x)
@@ -129,9 +117,21 @@ class Penalty:
         return lam - lam / (x + gamma)
 
 
-def penalty_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> float:
-    """Sum of g over all transformed-slice singular values."""
-    return float(pen.g(transformed_singular_values(x, u)).sum())
+def slice_svd(x: np.ndarray, u: OrthogonalTransform):
+    """Thin SVD ``(U, S, Vh)`` of every transformed frontal slice: the one spectral kernel."""
+    return np.linalg.svd(_slices_first(apply_transform(x, u)), full_matrices=False)
+
+
+def spectral_map(factors, f, u: OrthogonalTransform) -> np.ndarray:
+    """The tensor whose transformed slices are ``U @ diag(f(S)) @ Vh`` for ``factors``."""
+    left, sigma, right_h = factors
+    return inverse_transform(_slices_last((left * f(sigma)[:, None, :]) @ right_h), u)
+
+
+def penalty_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty, factors=None) -> float:
+    """Sum of g over all transformed-slice singular values (of ``factors``, if given)."""
+    sigma = transformed_singular_values(x, u) if factors is None else factors[1]
+    return float(pen.g(sigma).sum())
 
 
 def dc_smooth_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> float:
@@ -139,28 +139,17 @@ def dc_smooth_value(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> floa
     return float(pen.s2(transformed_singular_values(x, u)).sum())
 
 
-def _thin_svd_rebuild(batch: np.ndarray, f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slices of ``batch`` with ``f`` applied to their singular values, plus sigma and V^T."""
-    left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
-    return (left * f(sigma)[:, None, :]) @ right_h, sigma, right_h
-
-
-def _spectral_rebuild(x: np.ndarray, u: OrthogonalTransform, f) -> np.ndarray:
-    """Rebuild ``x`` with ``f`` applied to every transformed-slice singular value."""
-    core, _, _ = _thin_svd_rebuild(_slices_first(apply_transform(x, u)), f)
-    return inverse_transform(_slices_last(core), u)
-
-
-def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty) -> np.ndarray:
+def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty, factors=None) -> np.ndarray:
     """Gradient of :func:`dc_smooth_value`.
 
     Spectral calculus: with the slice-wise SVD in the transformed domain, the
-    gradient reassembles the factors around diag(s2'(sigma)).
+    gradient reassembles the factors around diag(s2'(sigma)). ``factors``,
+    if given, is :func:`slice_svd` of ``x``.
     """
     x = np.asarray(x, dtype=float)
     if pen.kind == "convex":
         return np.zeros_like(x)
-    return _spectral_rebuild(x, u, pen.s2_prime)
+    return spectral_map(slice_svd(x, u) if factors is None else factors, pen.s2_prime, u)
 
 
 # Truncated SVT (see :func:`svt`). Slices whose shorter side is below
@@ -309,16 +298,16 @@ def svt(
 
     side = min(a.shape[:2])
     if hint is None or side < TRUNCATED_MIN_SIDE:
-        return _spectral_rebuild(a, u, shrink)
+        return spectral_map(slice_svd(a, u), shrink, u)
     batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
     fro2 = np.einsum("sij,sij->s", batch, batch)
     found = None
     if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
         found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
     if found is None:
-        core, sigma, right_h = _thin_svd_rebuild(batch, shrink)
-        right = right_h.swapaxes(1, 2)
-    else:
-        core, sigma, right, hint.steps = found
+        left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
+        hint._remember(right_h.swapaxes(1, 2), sigma, tau, side, fro2)
+        return spectral_map((left, sigma, right_h), shrink, u)
+    core, sigma, right, hint.steps = found
     hint._remember(right, sigma, tau, side, fro2)
     return inverse_transform(_slices_last(core), u)

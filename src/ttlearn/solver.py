@@ -25,9 +25,10 @@ from .penalties import (
     SubspaceHint,
     dc_smooth_grad,
     penalty_value,
+    slice_svd,
     svt,
 )
-from .tensor_ops import fro_norm, inf_norm, project_box
+from .tensor_ops import as_tensor3, fro_norm, inf_norm, project_box
 from .transforms import OrthogonalTransform
 
 GOLDEN_STEP_LIMIT = (1 + np.sqrt(5)) / 2
@@ -168,9 +169,10 @@ def objective_value(
     pen: Penalty,
     u: OrthogonalTransform,
     cfg: PMMConfig,
+    factors=None,
 ) -> tuple[float, bool]:
-    """Objective ``loss(x) + beta * penalty`` and the box-feasibility flag."""
-    value = loss.value(x) + cfg.beta * penalty_value(x, u, pen)
+    """Objective ``loss(x) + beta * penalty`` and the box-feasibility flag; see penalty_value."""
+    value = loss.value(x) + cfg.beta * penalty_value(x, u, pen, factors)
     return value, inf_norm(x) <= cfg.box_c + FEASIBILITY_SLACK
 
 
@@ -288,13 +290,11 @@ def pmm_solve(
     increase the objective (beyond 1e-9 slack). The two ``svt`` call sites of
     the inner solver each keep a :class:`~ttlearn.penalties.SubspaceHint`
     for the whole solve, so large slices are thresholded from a warm
-    subspace instead of a full SVD.
+    subspace instead of a full SVD. Outside ``svt``, every iterate is
+    factorized once, by :func:`~ttlearn.penalties.slice_svd`, for both its
+    objective and the next gradient of the smooth penalty part.
     """
-    x = np.array(x0, dtype=float)
-    if x.ndim != 3:
-        raise ValueError("x0 must be a third-order tensor")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 contains non-finite entries")
+    x = as_tensor3(x0).copy()
 
     lipschitz = loss.lipschitz_constant()
     descent_ok = pmm_cfg.rho > pmm_cfg.rho_threshold(lipschitz)
@@ -305,7 +305,8 @@ def pmm_solve(
             RuntimeWarning,
         )
 
-    objective, _ = objective_value(x, loss, pen, u, pmm_cfg)
+    factors = slice_svd(x, u)
+    objective, _ = objective_value(x, loss, pen, u, pmm_cfg, factors)
     trace = SolveTrace(
         initial_objective=objective,
         descent_checked=descent_ok,
@@ -316,7 +317,7 @@ def pmm_solve(
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
-        grad_s2 = dc_smooth_grad(x, u, pen)
+        grad_s2 = dc_smooth_grad(x, u, pen, factors)
         x_new, m, z, residuals, inner = admm_subproblem(
             x, grad_f, grad_s2, pen, u, pmm_cfg, admm_cfg, warm, hints=hints
         )
@@ -330,7 +331,8 @@ def pmm_solve(
         else:
             rel_step = 0.0 if step_norm == 0 else float("inf")
 
-        new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg)
+        factors = slice_svd(x_new, u)
+        new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg, factors)
         if descent_ok and new_objective > objective + DESCENT_SLACK:
             raise DescentViolationError(
                 f"objective increased by {new_objective - objective:.3e}", trace

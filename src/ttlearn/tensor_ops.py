@@ -16,11 +16,15 @@ import numpy as np
 from .transforms import OrthogonalTransform
 
 
+def _check_order(arr: np.ndarray) -> None:
+    if arr.ndim != 3:
+        raise ValueError(f"expected a third-order tensor, got ndim={arr.ndim}")
+
+
 def as_tensor3(x) -> np.ndarray:
     """Validate ``x`` as a finite third-order float array."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={arr.ndim}")
+    _check_order(arr)
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains non-finite entries")
     return arr
@@ -43,6 +47,7 @@ def fold3(m: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
 
 
 def _check_transform(x: np.ndarray, u: OrthogonalTransform) -> None:
+    _check_order(x)
     if u.size != x.shape[2]:
         raise ValueError(f"transform size {u.size} does not match n3={x.shape[2]}")
 

@@ -458,6 +458,48 @@ class TestPMMSolve:
             pmm_solve(BadLoss(), MCP, identity_transform(1), cfg, ADMMConfig(), np.zeros((2, 2, 1)))
         assert excinfo.value.trace is not None
 
+    def test_one_factorization_per_iterate(self, monkeypatch):
+        # outside svt, x0 and every new iterate are factorized exactly once:
+        # the factors give its objective and the next smooth-part gradient
+        rng = np.random.default_rng(14)
+        u = dct_transform(3)
+        y = rng.standard_normal((6, 6, 3))
+        mask = rng.random(y.shape) < 0.6
+        loss = CompletionLoss(np.where(mask, y, 0.0), mask)
+        cfg = PMMConfig(rho=6.0, beta=1.0, box_c=3.0, max_outer=15)
+        real_svd, real_svt, real_objective = np.linalg.svd, solver.svt, solver.objective_value
+        in_svt, outside, iterates = [False], [], []
+
+        def counted_svd(a, *args, **kwargs):
+            if not in_svt[0]:
+                outside.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        def marked_svt(*args, **kwargs):
+            in_svt[0] = True
+            try:
+                return real_svt(*args, **kwargs)
+            finally:
+                in_svt[0] = False
+
+        def recorded_objective(x, *args, **kwargs):
+            iterates.append(x.copy())
+            return real_objective(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(solver, "svt", marked_svt)
+        monkeypatch.setattr(solver, "objective_value", recorded_objective)
+        _, trace = pmm_solve(loss, MCP, u, cfg, ADMMConfig(tol_inner=3e-4), loss.y_obs.copy())
+        monkeypatch.undo()
+        outer = len(trace.entries)
+        assert outer > 1
+        assert outside == [(3, 6, 6)] * (outer + 1)
+        assert len(iterates) == outer + 1
+        for x, objective in zip(iterates, trace.objectives()):
+            sigma = top.transformed_singular_values(x, u)
+            expected = loss.value(x) + cfg.beta * float(MCP.g(sigma).sum())
+            assert objective == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_x0_validation(self):
         cfg = PMMConfig(rho=10.0, beta=0.0, box_c=1.0)
         loss = full_mask_loss(np.zeros((2, 2, 1)))

@@ -1,10 +1,15 @@
 import os
 import struct
+import subprocess
+import sys
+import tempfile
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttlearn import tensor_io
 from ttlearn.tensor_io import MAGIC, TensorFormatError, read_tensor, write_tensor
@@ -139,3 +144,73 @@ def test_piped_trailing_bytes_rejected():
     with pipe_carrying(MAGIC + struct.pack("<III", 1, 1, 1) + b"\x00" * 9) as path:
         with pytest.raises(TensorFormatError, match="trailing"):
             read_tensor(path)
+
+
+def tns_bytes(dims, values) -> bytes:
+    return MAGIC + struct.pack("<III", *dims) + struct.pack(f"<{len(values)}d", *values)
+
+
+@st.composite
+def tns_inputs(draw):
+    """Arbitrary bytes, or a valid TNS1 file with its header, payload or length mutated."""
+    kind = draw(st.sampled_from(["bytes", "header", "payload", "length"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=256))
+    dims = list(draw(st.tuples(*[st.integers(1, 3)] * 3)))
+    count = dims[0] * dims[1] * dims[2]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=count, max_size=count))
+    data = bytearray(tns_bytes(dims, values))
+    if kind == "header":
+        field = draw(st.integers(0, 3))
+        if field == 0:
+            data[:4] = draw(st.binary(min_size=4, max_size=4))
+        else:
+            dims[field - 1] = draw(st.integers(0, 2**32 - 1))
+            data[4:16] = struct.pack("<III", *dims)
+    elif kind == "payload":
+        slot = 16 + 8 * draw(st.integers(0, count - 1))
+        packed = st.floats().map(lambda v: struct.pack("<d", v))
+        data[slot : slot + 8] = draw(st.one_of(packed, st.binary(min_size=8, max_size=8)))
+    else:
+        cut = draw(st.integers(0, len(data) - 1))
+        data = data[:cut] if draw(st.booleans()) else data + draw(st.binary(min_size=1, max_size=24))
+    return bytes(data)
+
+
+def assert_reads_cleanly(path):
+    """``read_tensor`` returns a finite third-order float array or raises TensorFormatError."""
+    try:
+        x = read_tensor(path)
+    except TensorFormatError:
+        return
+    assert isinstance(x, np.ndarray) and x.dtype == float and x.ndim == 3
+    assert np.all(np.isfinite(x))
+
+
+@needs_dev_fd
+@settings(max_examples=300)
+@given(data=tns_inputs())
+def test_malformed_input_raises_only_tensor_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.tns")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert_reads_cleanly(path)
+    with pipe_carrying(data) as path:
+        assert_reads_cleanly(path)
+
+
+def test_cli_metrics_on_a_malformed_file_exits_one_without_traceback(tmp_path):
+    good = tmp_path / "good.tns"
+    write_tensor(good, np.ones((2, 2, 1)))
+    bad = tmp_path / "bad.tns"
+    bad.write_bytes(tns_bytes((2, 2, 1), [1.0, float("inf"), 1.0, 1.0]))
+    env = dict(os.environ, PYTHONPATH=str(Path(tensor_io.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ttlearn.cli", "metrics", str(bad), str(good)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "non-finite value (byte offset 24)" in proc.stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ttlearn.tensor_ops as top
+from ttlearn.penalties import Penalty, penalty_value, svt
 from ttlearn.transforms import dct_transform, identity_transform
 
 
@@ -330,6 +331,23 @@ def test_as_tensor3_rejects_bad_input():
         top.as_tensor3(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         top.as_tensor3(np.full((1, 1, 1), np.nan))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        top.apply_transform,
+        top.inverse_transform,
+        top.transformed_singular_values,
+        lambda x, u: svt(x, 0.5, u),
+        lambda x, u: penalty_value(x, u, Penalty("mcp", lam=1.0, gamma=2.7)),
+    ],
+    ids=["apply_transform", "inverse_transform", "transformed_singular_values", "svt",
+         "penalty_value"],
+)
+def test_transform_entry_points_reject_a_matrix(call):
+    with pytest.raises(ValueError, match="expected a third-order tensor, got ndim=2"):
+        call(np.zeros((2, 2)), identity_transform(2))
 
 
 def test_reconstruction_over_random_corpus():

@@ -32,6 +32,45 @@ def test_against_reports_only_the_commands_that_differ():
     assert tool.differences(theirs, theirs) == ([], 0)
 
 
+def test_against_reports_each_differing_result_field():
+    tool = load_cli_digests()
+    old = {
+        "task": "complete",
+        "trace": {"initial_objective": 2.0, "entries": [{"objective": 1.0, "feasible": True}] * 2},
+        "ranks": [1, 2],
+    }
+    new = {
+        "task": "classify",
+        "trace": {
+            "initial_objective": 2.0,
+            "entries": [{"objective": 1.0 + 2**-52, "feasible": True},
+                        {"objective": 1.0 + 2**-50, "feasible": False}],
+        },
+        "ranks": [1, 2, 3],
+        "added": None,
+    }
+    theirs = [(1, ["complete"], ["exit 0", "result r1", "stdout s"], old),
+              (2, ["metrics"], ["exit 0", "result r3", "stdout s"], old)]
+    ours = [(1, ["complete"], ["exit 0", "result r2", "stdout s"], new),
+            (2, ["metrics"], ["exit 0", "result r3", "stdout t"], old)]
+    report, differ = tool.differences(ours, theirs)
+    assert differ == 2
+    assert report == [
+        "[01] ttlearn complete",
+        "  - result r1",
+        "  + result r2",
+        "  ~ task DIFF",
+        "  ~ trace.entries[*].objective 8.9e-16",
+        "  ~ trace.entries[*].feasible DIFF",
+        "  ~ ranks DIFF",
+        "  ~ added DIFF",
+        # a differing command with equal results gets no field lines
+        "[02] ttlearn metrics",
+        "  - stdout s",
+        "  + stdout t",
+    ]
+
+
 def test_against_rejects_a_tree_without_ttlearn(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         load_cli_digests().main(["--against", str(tmp_path)])

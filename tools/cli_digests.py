@@ -17,13 +17,16 @@ With ``--against OTHER_SRC`` it runs the commands against both trees, each
 in its own fresh directory, prints only the commands whose lines differ
 (``-`` lines from ``OTHER_SRC``, ``+`` lines from ``DIR``) and exits 1 if
 any does, 0 if the two trees give byte-identical results, files and
-messages.
+messages. Under a command whose ``result`` line differs, one ``~`` line
+per differing JSON path (list indices shown as ``[*]``) gives the largest
+relative difference at that path, or ``DIFF`` for a non-numeric change.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -106,16 +109,21 @@ def snapshot(work: Path) -> dict[str, str]:
     return {p.name: sha256(p.read_bytes()) for p in sorted(work.iterdir()) if p.is_file()}
 
 
-def result_digest(path: Path) -> str:
+def load_result(path: Path) -> dict | None:
+    """The result JSON without its top-level ``timing`` key, or ``None`` if not written."""
     if not path.exists():
-        return "none"
+        return None
     result = json.loads(path.read_text())
     result.pop("timing", None)
-    return sha256(json.dumps(result).encode())
+    return result
+
+
+def result_digest(result: dict | None) -> str:
+    return "none" if result is None else sha256(json.dumps(result).encode())
 
 
 def run_all(src: Path, work: Path):
-    """Yield ``(index, argv, lines)`` for every command, run in ``work``."""
+    """Yield ``(index, argv, lines, result)`` for every command, run in ``work``."""
     (work / "cfg.json").write_text(json.dumps(CONFIG))
     env = dict(os.environ, PYTHONPATH=str(src))
     for index, argv in enumerate(COMMANDS, 1):
@@ -126,7 +134,8 @@ def run_all(src: Path, work: Path):
             cwd=work, env=env, capture_output=True,
         )
         after = snapshot(work)
-        lines = [f"exit {done.returncode}", f"result {result_digest(work / results)}"]
+        result = load_result(work / results)
+        lines = [f"exit {done.returncode}", f"result {result_digest(result)}"]
         lines += [
             f"file {name} {digest}" for name, digest in after.items()
             if name != results and before.get(name) != digest
@@ -134,11 +143,11 @@ def run_all(src: Path, work: Path):
         lines.append(f"stdout {sha256(done.stdout)}")
         stderr = normalize_stderr(done.stderr.decode())
         lines.append(f"stderr {sha256(stderr.encode())}")
-        yield index, argv, lines
+        yield index, argv, lines, result
 
 
-def digests(src: Path) -> list[tuple[int, list[str], list[str]]]:
-    """Every command's ``(index, argv, lines)``, run in a fresh temporary directory."""
+def digests(src: Path) -> list[tuple[int, list[str], list[str], dict | None]]:
+    """Every command's ``(index, argv, lines, result)``, run in a fresh temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         return list(run_all(src, Path(tmp)))
 
@@ -147,21 +156,57 @@ def header(index: int, command: list[str]) -> str:
     return f"[{index:02d}] ttlearn {' '.join(command)}"
 
 
+def _finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def field_differences(new, old, path: str = "", found: dict | None = None) -> dict:
+    """Largest relative difference per JSON path of two results, ``"DIFF"`` if not numeric.
+
+    List indices collapse to ``[*]``; equal values and paths are left out.
+    """
+    found = {} if found is None else found
+    if isinstance(new, dict) and isinstance(old, dict):
+        for key in dict.fromkeys([*old, *new]):
+            child = f"{path}.{key}" if path else key
+            if key in new and key in old:
+                field_differences(new[key], old[key], child, found)
+            else:
+                found[child] = "DIFF"
+    elif isinstance(new, list) and isinstance(old, list):
+        if len(new) != len(old):
+            found[path] = "DIFF"
+        for a, b in zip(new, old):
+            field_differences(a, b, f"{path}[*]", found)
+    elif _finite_number(new) and _finite_number(old):
+        if new != old:
+            previous = found.get(path, 0.0)
+            rel = abs(new - old) / max(abs(new), abs(old))
+            found[path] = previous if previous == "DIFF" else max(previous, rel)
+    elif json.dumps(new) != json.dumps(old):
+        found[path] = "DIFF"
+    return found
+
+
 def differences(ours, theirs) -> tuple[list[str], int]:
     """Report lines for the commands whose lines differ, and how many do.
 
     Both arguments are :func:`digests` results for the same ``COMMANDS``;
     a differing command is printed with its ``theirs``-only lines as ``-``
-    and its ``ours``-only lines as ``+``.
+    and its ``ours``-only lines as ``+``. Entries that carry their result
+    JSON as a fourth item add one ``~`` line per field that differs.
     """
     report, differ = [], 0
-    for (index, command, new), (_, _, old) in zip(ours, theirs, strict=True):
+    for (index, command, new, *new_json), (_, _, old, *old_json) in zip(ours, theirs, strict=True):
         if new == old:
             continue
         differ += 1
         report.append(header(index, command))
         report += [f"  - {line}" for line in old if line not in new]
         report += [f"  + {line}" for line in new if line not in old]
+        if new_json and old_json:
+            for path, diff in field_differences(new_json[0], old_json[0]).items():
+                report.append(f"  ~ {path} {diff}" if diff == "DIFF" else f"  ~ {path} {diff:.1e}")
     return report, differ
 
 
@@ -180,7 +225,7 @@ def main(argv=None) -> int:
         if not (src / "ttlearn" / "cli.py").is_file():
             parser.error(f"no ttlearn package under {src}")
     if args.against is None:
-        for index, command, lines in digests(trees[0]):
+        for index, command, lines, _ in digests(trees[0]):
             print(header(index, command))
             for line in lines:
                 print(f"  {line}")
