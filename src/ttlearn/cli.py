@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import tasks, tensor_ops as top
-from .config import TRANSFORMS, ConfigError, ExperimentConfig, config_from_dict, load_config
+from .config import TASKS, TRANSFORMS, ConfigError, ExperimentConfig, config_from_dict, load_config
 from .penalties import KINDS as PENALTY_KINDS
 from .solver import SolverError
 from .tensor_io import TensorFormatError, read_tensor, write_tensor
@@ -100,16 +100,17 @@ def build_parser() -> _Parser:
     p.add_argument("--results", help="path for the results JSON (default: stdout)")
 
     p = sub.add_parser("synth", help="emit synthetic problem files")
-    p.add_argument("--task", choices=("complete", "classify"), required=True)
+    p.add_argument("--task", choices=TASKS, required=True)
     _add_synth_flags(p, "synth")
-    p.add_argument("--transform", choices=("identity", "dct"), help="transform defining the generator's low multi-rank")
+    p.add_argument("--transform", choices=tasks.FIXED_TRANSFORMS,
+                   help="transform defining the generator's low multi-rank")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.add_argument("--results", help="path for the manifest JSON (default: stdout)")
 
     p = sub.add_parser("tsvd", help="per-slice singular values and multi-rank of a tensor file")
     p.add_argument("--input", required=True)
-    p.add_argument("--transform", choices=("identity", "dct"), default="dct")
+    p.add_argument("--transform", choices=tasks.FIXED_TRANSFORMS, default="dct")
     p.add_argument("--pilot", help="derive a data-driven transform from this TNS1 file instead")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--results", help="path for the JSON output (default: stdout)")
@@ -173,10 +174,24 @@ def _emit(result: dict, path: str | None) -> None:
         print(text)
 
 
-def _generator_transform(cfg: ExperimentConfig):
+def _synthetic_instance(cfg: ExperimentConfig):
+    """``cfg``'s seeded instance: ``(truth, observed, mask)`` or a ClassificationProblem."""
     # the data-driven transform cannot define a generator; fall back to DCT
-    kind = cfg.transform if cfg.transform in ("identity", "dct") else "dct"
-    return tasks.build_transform(kind, cfg.dims[2])
+    kind = cfg.transform if cfg.transform in tasks.FIXED_TRANSFORMS else "dct"
+    transform = tasks.build_transform(kind, cfg.dims[2])
+    if cfg.task == "complete":
+        return tasks.synth_completion(cfg.dims, cfg.rank, cfg.sr, cfg.sigma, transform, cfg.seed)
+    return tasks.synth_logistic(cfg.dims, cfg.rank, cfg.n_train, cfg.n_test, transform, cfg.seed)
+
+
+def _solved(cfg: ExperimentConfig, info: dict, output: str | None = None, tensor=None) -> dict:
+    """Result JSON of a solve: ``cfg``'s echo, ``output`` once ``tensor`` is written, ``info``."""
+    result = {"task": cfg.task, "config": cfg.echo()}
+    if output:
+        write_tensor(output, tensor)
+        result["output"] = output
+    result.update(info)
+    return result
 
 
 def _read_sample_stack(samples_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -205,9 +220,7 @@ def _run_complete(args) -> dict:
     cfg = _build_config(args, "complete")
     truth = None
     if args.synthetic:
-        truth, y_obs, mask = tasks.synth_completion(
-            cfg.dims, cfg.rank, cfg.sr, cfg.sigma, _generator_transform(cfg), cfg.seed
-        )
+        truth, y_obs, mask = _synthetic_instance(cfg)
     else:
         if not args.observed or not args.mask:
             raise UsageError("complete needs --observed and --mask, or --synthetic")
@@ -218,7 +231,6 @@ def _run_complete(args) -> dict:
 
     common = dict(_driver_kwargs(cfg), ground_truth=truth)
     pen = cfg.build_penalty()
-    result = {"task": "complete", "config": cfg.echo()}
 
     if args.lam_grid or args.beta_grid:
         grid = [
@@ -228,7 +240,7 @@ def _run_complete(args) -> dict:
         ]
         # each grid point is checked as the config field it replaces, before any solve
         for lam, beta in grid:
-            replace(cfg, lam=lam, beta=beta).validate()
+            replace(cfg, lam=lam, beta=beta)
         sweep = []
         for lam, beta in grid:
             _, info = tasks.run_completion(y_obs, mask, replace(pen, lam=lam), beta, **common)
@@ -236,25 +248,18 @@ def _run_complete(args) -> dict:
             if "metrics" in info:
                 entry["metrics"] = info["metrics"]
             sweep.append(entry)
-        result["grid"] = sweep
         if args.output:
             print("note: --output is ignored in grid mode", file=sys.stderr)
-        return result
+        return _solved(cfg, {"grid": sweep})
 
     recovered, info = tasks.run_completion(y_obs, mask, pen, cfg.beta, **common)
-    if args.output:
-        write_tensor(args.output, recovered)
-        result["output"] = args.output
-    result.update(info)
-    return result
+    return _solved(cfg, info, args.output, recovered)
 
 
 def _run_classify(args) -> dict:
     cfg = _build_config(args, "classify")
     if args.synthetic:
-        problem = tasks.synth_logistic(
-            cfg.dims, cfg.rank, cfg.n_train, cfg.n_test, _generator_transform(cfg), cfg.seed
-        )
+        problem = _synthetic_instance(cfg)
         train_samples, train_labels = problem.train_samples, problem.train_labels
         test_samples, test_labels = problem.test_samples, problem.test_labels
     else:
@@ -269,24 +274,16 @@ def _run_classify(args) -> dict:
         train_samples, train_labels, cfg.build_penalty(), cfg.beta,
         test_samples=test_samples, test_labels=test_labels, **_driver_kwargs(cfg),
     )
-    result = {"task": "classify", "config": cfg.echo()}
-    if args.output:
-        write_tensor(args.output, coeff)
-        result["output"] = args.output
-    result.update(info)
-    return result
+    return _solved(cfg, info, args.output, coeff)
 
 
 def _run_synth(args) -> dict:
     cfg = _build_config(args, args.task)
     prefix = args.out_prefix
-    transform = _generator_transform(cfg)
     manifest = {"task": args.task, "seed": cfg.seed, "dims": list(cfg.dims), "rank": cfg.rank}
 
     if args.task == "complete":
-        truth, y_obs, mask = tasks.synth_completion(
-            cfg.dims, cfg.rank, cfg.sr, cfg.sigma, transform, cfg.seed
-        )
+        truth, y_obs, mask = _synthetic_instance(cfg)
         files = {
             "truth": f"{prefix}_truth.tns",
             "observed": f"{prefix}_observed.tns",
@@ -297,9 +294,7 @@ def _run_synth(args) -> dict:
         write_tensor(files["mask"], mask.astype(float))
         manifest.update({"sr": cfg.sr, "sigma": cfg.sigma, "files": files})
     else:
-        problem = tasks.synth_logistic(
-            cfg.dims, cfg.rank, cfg.n_train, cfg.n_test, transform, cfg.seed
-        )
+        problem = _synthetic_instance(cfg)
         files = {
             "coeff": f"{prefix}_coeff.tns",
             "train_samples": f"{prefix}_train_samples.tns",

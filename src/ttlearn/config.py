@@ -1,10 +1,11 @@
 """Experiment configuration: defaults, JSON loading, and validation.
 
-The ranges of the penalty and solver parameters belong to ``Penalty``,
-``PMMConfig`` and ``ADMMConfig``: validation builds those objects and reports
-their rejection under the JSON key. The experiment-only fields (task,
-transform, sampling and generator sizes, paths) are checked here. Every value
-is type-checked on load, so a bad value is rejected with its field name.
+A config validates on construction. The ranges and defaults of the penalty
+and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``,
+whose rejection is reported under the JSON key; the task defaults and fixed
+transforms belong to ``tasks``. The experiment-only fields (task, transform,
+sampling and generator sizes, paths) are checked here. Every value is
+type-checked on load, so a bad value is rejected with its field name.
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .penalties import ParameterError, Penalty
 from .solver import ADMMConfig, PMMConfig
+from .tasks import CLASSIFY_BOX_C, FIXED_TRANSFORMS, TASK_RHO
 
 TASKS = ("complete", "classify")
-TRANSFORMS = ("identity", "dct", "data")
-
-# rho differs between the two tasks; everything else shares one default
-TASK_RHO = {"complete": 10.0, "classify": 100.0}
+TRANSFORMS = (*FIXED_TRANSFORMS, "data")
 
 # dataclass attribute or constructor argument -> JSON key (only where they differ)
 _JSON_KEYS = {"lam": "lambda", "kind": "penalty"}
@@ -38,7 +37,7 @@ def _built(cls, **kwargs):
         raise ConfigError(_JSON_KEYS.get(exc.name, exc.name), exc.reason) from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     task: str = "complete"
     penalty: str = "mcp"
@@ -48,7 +47,7 @@ class ExperimentConfig:
     beta: float = 1.0
     rho: float | None = None  # task default when None
     xi: float = PMMConfig.xi
-    box_c: float | None = None  # auto from data (complete) / 10 (classify)
+    box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
     eta: float = ADMMConfig.eta
     tau: float = ADMMConfig.tau
     max_outer: int = PMMConfig.max_outer
@@ -70,7 +69,7 @@ class ExperimentConfig:
 
     def resolved_box_c(self) -> float | None:
         if self.box_c is None and self.task == "classify":
-            return 10.0
+            return CLASSIFY_BOX_C
         return self.box_c
 
     def build_penalty(self) -> Penalty:
@@ -82,7 +81,7 @@ class ExperimentConfig:
             eta=self.eta, tau=self.tau, max_inner=self.max_inner, tol_inner=self.tol_inner,
         )
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}")
         self.build_penalty()
@@ -121,7 +120,6 @@ class ExperimentConfig:
         for key in self.paths:
             if key not in allowed_paths:
                 raise ConfigError(f"paths.{key}", f"must be one of {sorted(allowed_paths)}")
-        return self
 
     def echo(self) -> dict:
         """JSON-ready view with task defaults resolved (box_c may stay null)."""
@@ -173,8 +171,7 @@ def config_from_dict(raw: dict, **overrides) -> ExperimentConfig:
             raise ConfigError(_JSON_KEYS.get(attr, attr), f"must be {expected}")
     if "dims" in values:
         values["dims"] = tuple(values["dims"])
-    cfg = ExperimentConfig(**values)
-    return cfg.validate()
+    return ExperimentConfig(**values)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

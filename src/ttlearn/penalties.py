@@ -13,6 +13,7 @@ import numpy as np
 
 from .transforms import OrthogonalTransform
 from .tensor_ops import (
+    _check_transform,
     _slices_first,
     _slices_last,
     apply_transform,
@@ -147,6 +148,7 @@ def dc_smooth_grad(x: np.ndarray, u: OrthogonalTransform, pen: Penalty, factors=
     if given, is :func:`slice_svd` of ``x``.
     """
     x = np.asarray(x, dtype=float)
+    _check_transform(x, u)
     if pen.kind == "convex":
         return np.zeros_like(x)
     return spectral_map(slice_svd(x, u) if factors is None else factors, pen.s2_prime, u)
@@ -288,6 +290,7 @@ def svt(
     Every factorization goes through ``numpy.linalg.svd``.
     """
     a = np.asarray(a, dtype=float)
+    _check_transform(a, u)
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     if tau == 0:

@@ -312,7 +312,7 @@ def pmm_solve(
         descent_checked=descent_ok,
         descent_margin=pmm_cfg.descent_margin(lipschitz) if descent_ok else 0.0,
     )
-    warm = (np.zeros_like(x), x.copy(), np.zeros_like(x))
+    warm = None
     hints = (SubspaceHint(), SubspaceHint())
 
     for _ in range(pmm_cfg.max_outer):

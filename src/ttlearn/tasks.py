@@ -20,6 +20,12 @@ from .transforms import (
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
+# the drivers' defaults of rho and of the classification box radius (config echoes them)
+TASK_RHO = {"complete": 10.0, "classify": 100.0}
+CLASSIFY_BOX_C = 10.0
+# transforms fixed by n3 alone; the "data" transform comes from a pilot solve
+FIXED_TRANSFORMS = {"identity": identity_transform, "dct": dct_transform}
+
 
 def make_mask(dims: tuple[int, int, int], sr: float, seed) -> np.ndarray:
     """Boolean mask with exactly round(sr·N) observed entries, uniform without replacement."""
@@ -222,11 +228,9 @@ def test_accuracy(pred_labels, true_labels) -> float:
 
 
 def build_transform(kind: str, n3: int) -> OrthogonalTransform:
-    if kind == "identity":
-        return identity_transform(n3)
-    if kind == "dct":
-        return dct_transform(n3)
-    raise ValueError(f"unknown transform kind {kind!r}")
+    if kind not in FIXED_TRANSFORMS:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    return FIXED_TRANSFORMS[kind](n3)
 
 
 def _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0):
@@ -274,12 +278,12 @@ def run_completion(
     pen: Penalty,
     beta: float,
     transform_kind: str = "dct",
-    rho: float = 10.0,
-    xi: float = 0.1,
+    rho: float = TASK_RHO["complete"],
+    xi: float = solver.PMMConfig.xi,
     box_c: float | None = None,
     admm_cfg: solver.ADMMConfig | None = None,
-    max_outer: int = 100,
-    tol_outer: float = 5e-4,
+    max_outer: int = solver.PMMConfig.max_outer,
+    tol_outer: float = solver.PMMConfig.tol_outer,
     ground_truth: np.ndarray | None = None,
     pilot_max_outer: int | None = None,
 ) -> tuple[np.ndarray, dict]:
@@ -320,12 +324,12 @@ def run_classification(
     pen: Penalty,
     beta: float,
     transform_kind: str = "dct",
-    rho: float = 100.0,
-    xi: float = 0.1,
-    box_c: float = 10.0,
+    rho: float = TASK_RHO["classify"],
+    xi: float = solver.PMMConfig.xi,
+    box_c: float = CLASSIFY_BOX_C,
     admm_cfg: solver.ADMMConfig | None = None,
-    max_outer: int = 100,
-    tol_outer: float = 5e-4,
+    max_outer: int = solver.PMMConfig.max_outer,
+    tol_outer: float = solver.PMMConfig.tol_outer,
     test_samples: np.ndarray | None = None,
     test_labels: np.ndarray | None = None,
     pilot_max_outer: int | None = None,

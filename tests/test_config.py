@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from ttlearn.config import ConfigError, config_from_dict, load_config
+from ttlearn import tasks
+from ttlearn.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from ttlearn.penalties import Penalty
 
 
@@ -148,3 +151,21 @@ def test_echo_is_json_ready(tmp_path):
     assert echoed["seed"] == 3
     assert echoed["task"] == "complete"
     assert "lam" not in echoed
+
+
+def test_replace_validates_like_construction():
+    cfg = ExperimentConfig()
+    with pytest.raises(ConfigError) as excinfo:
+        dataclasses.replace(cfg, lam=0.0)
+    assert excinfo.value.fieldname == "lambda"
+    assert dataclasses.replace(cfg, lam=0.3).lam == 0.3
+
+
+@pytest.mark.parametrize(
+    "task,driver", [("complete", tasks.run_completion), ("classify", tasks.run_classification)]
+)
+def test_echoed_defaults_are_the_drivers_defaults(task, driver):
+    echoed = config_from_dict({}, task=task).echo()
+    params = inspect.signature(driver).parameters
+    for name in ("rho", "box_c", "xi", "max_outer", "tol_outer"):
+        assert echoed[name] == params[name].default, name

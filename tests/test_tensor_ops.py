@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ttlearn.tensor_ops as top
-from ttlearn.penalties import Penalty, penalty_value, svt
+from ttlearn.penalties import Penalty, dc_smooth_grad, penalty_value, svt
 from ttlearn.transforms import dct_transform, identity_transform
 
 
@@ -341,13 +341,28 @@ def test_as_tensor3_rejects_bad_input():
         top.transformed_singular_values,
         lambda x, u: svt(x, 0.5, u),
         lambda x, u: penalty_value(x, u, Penalty("mcp", lam=1.0, gamma=2.7)),
+        lambda x, u: svt(x, 0.0, u),
+        lambda x, u: dc_smooth_grad(x, u, Penalty("convex", lam=1.0)),
     ],
     ids=["apply_transform", "inverse_transform", "transformed_singular_values", "svt",
-         "penalty_value"],
+         "penalty_value", "svt_tau_zero", "convex_dc_smooth_grad"],
 )
 def test_transform_entry_points_reject_a_matrix(call):
     with pytest.raises(ValueError, match="expected a third-order tensor, got ndim=2"):
         call(np.zeros((2, 2)), identity_transform(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, u: svt(x, 0.0, u),
+        lambda x, u: dc_smooth_grad(x, u, Penalty("convex", lam=1.0)),
+    ],
+    ids=["svt_tau_zero", "convex_dc_smooth_grad"],
+)
+def test_early_returns_reject_a_transform_of_the_wrong_size(call):
+    with pytest.raises(ValueError, match="transform size 2 does not match n3=3"):
+        call(np.zeros((2, 2, 3)), dct_transform(2))
 
 
 def test_reconstruction_over_random_corpus():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 17 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 21 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -81,6 +81,13 @@ COMMANDS = [
     [*SMALL, "--lambda-grid", "0,1", "--max-outer", "5"],
     ["tsvd", "--input", "rec.tns", "--pilot", "inst_truth.tns"],
     ["metrics", "rec.tns", "inst_truth.tns"],
+    ["tsvd", "--input", "inst_truth.tns", "--transform", "identity"],
+    ["tsvd", "--input", "inst_truth.tns", "--transform", "fourier"],
+    ["synth", "--task", "classify", "--dims", "4x4x2", "--rank", "1", "--n-train", "40",
+     "--n-test", "10", "--transform", "identity", "--seed", "5", "--out-prefix", "clsid"],
+    ["classify", "--synthetic", "--dims", "3x3x2", "--rank", "1", "--n-train", "40",
+     "--n-test", "10", "--seed", "0", "--transform", "data", "--rho", "0.2",
+     "--tol-inner", "1e-3", "--max-outer", "10"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
