@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .tensor_ops import as_tensor3
+
+
+def expit(t):
+    """Logistic sigmoid ``1/(1 + e^{-t})``; exactly 0 where ``e^{-t}`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 class CompletionLoss:

@@ -32,6 +32,13 @@ class ParameterError(ValueError):
         self.name, self.reason = name, reason
 
 
+def require_finite(**values: float) -> None:
+    """Raise a ParameterError for the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ParameterError(name, "must be finite")
+
+
 @dataclass(frozen=True)
 class Penalty:
     """Scalar penalty family: one of ``mcp``, ``scad``, ``log``, ``convex``.
@@ -55,6 +62,7 @@ class Penalty:
             raise ParameterError("gamma", f"must be positive for {self.kind}")
         if self.kind == "scad" and not self.gamma > 1:
             raise ParameterError("gamma", "must exceed 1 for scad")
+        require_finite(lam=self.lam)
 
     @property
     def k0(self) -> float:
@@ -201,12 +209,13 @@ class SubspaceHint:
         self.basis: np.ndarray | None = None
         self.steps = 1
 
-    def _remember(self, right, sigma, tau: float, side: int, fro2) -> None:
-        # right: (n3, n2, m) right singular vectors ordered like sigma (n3, m)
-        width = min(int((sigma > tau).sum(axis=1).max()) + SUBSPACE_OVERSAMPLE, right.shape[2])
+    def _remember(self, factors, tau: float, side: int, fro2) -> None:
+        # factors: (left, sigma, right_h) with sigma (n3, m) and right_h (n3, m, n2)
+        _, sigma, right_h = factors
+        width = min(int((sigma > tau).sum(axis=1).max()) + SUBSPACE_OVERSAMPLE, right_h.shape[1])
         bound = _deflation_bound(sigma[:, :width], tau, fro2)
         if 4 * width <= side and np.all(bound <= tau * tau):
-            self.basis = np.ascontiguousarray(right[:, :, :width])
+            self.basis = np.ascontiguousarray(right_h[:, :width].swapaxes(1, 2))
         else:
             self.basis = None
 
@@ -240,8 +249,10 @@ def _truncated_svt(batch: np.ndarray, tau: float, basis: np.ndarray, fro2, steps
     so the result is within ``||E||_F``, the root-sum-square of the ``r``
     kept residuals, of the full ``svt``.
 
-    Returns ``(core, sigma, right, steps)`` with the number of power steps
-    taken, or ``None`` when the call gives up or after ``MAX_POWER_STEPS``.
+    Returns ``(factors, steps)``: the Ritz triplets as factors
+    ``(Q L, S, W^T V^T)``, laid out like a thin SVD for :func:`spectral_map`,
+    and the number of power steps taken; or ``None`` when the call gives up
+    or after ``MAX_POWER_STEPS``.
     """
     batch_t = batch.swapaxes(1, 2)
     floor = RITZ_RESIDUAL_TOL * np.sqrt(fro2)
@@ -259,9 +270,7 @@ def _truncated_svt(batch: np.ndarray, tau: float, basis: np.ndarray, fro2, steps
             if np.all(np.where(kept, residuals, 0.0).max(axis=1) <= floor):
                 if np.any(_deflation_bound(sigma, tau, fro2) > tau * tau):
                     return None
-                right_h = small_right_h @ right.swapaxes(1, 2)
-                core = (left @ small_left * np.maximum(sigma - tau, 0.0)[:, None, :]) @ right_h
-                return core, sigma, right_h.swapaxes(1, 2), step
+                return (left @ small_left, sigma, small_right_h @ right.swapaxes(1, 2)), step
         right, _ = np.linalg.qr(back)
     return None
 
@@ -308,9 +317,8 @@ def svt(
     if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
         found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
     if found is None:
-        left, sigma, right_h = np.linalg.svd(batch, full_matrices=False)
-        hint._remember(right_h.swapaxes(1, 2), sigma, tau, side, fro2)
-        return spectral_map((left, sigma, right_h), shrink, u)
-    core, sigma, right, hint.steps = found
-    hint._remember(right, sigma, tau, side, fro2)
-    return inverse_transform(_slices_last(core), u)
+        factors = np.linalg.svd(batch, full_matrices=False)
+    else:
+        factors, hint.steps = found
+    hint._remember(factors, tau, side, fro2)
+    return spectral_map(factors, shrink, u)

@@ -25,6 +25,7 @@ from .penalties import (
     SubspaceHint,
     dc_smooth_grad,
     penalty_value,
+    require_finite,
     slice_svd,
     svt,
 )
@@ -83,6 +84,7 @@ class PMMConfig:
             raise ParameterError("max_outer", "must be nonnegative")
         if not self.tol_outer > 0:
             raise ParameterError("tol_outer", "must be positive")
+        require_finite(rho=self.rho, beta=self.beta)
 
     def rho_threshold(self, lipschitz: float) -> float:
         return lipschitz / (1 - 2 * self.xi)
@@ -109,6 +111,7 @@ class ADMMConfig:
             raise ParameterError("max_inner", "must be at least 1")
         if not self.tol_inner > 0:
             raise ParameterError("tol_inner", "must be positive")
+        require_finite(eta=self.eta)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import solver, tensor_ops as top
-from .losses import CompletionLoss, LogisticLoss
+from .losses import CompletionLoss, LogisticLoss, expit
 from .penalties import Penalty
 from .transforms import (
     OrthogonalTransform,

@@ -90,11 +90,12 @@ def t_product(a: np.ndarray, b: np.ndarray, u: OrthogonalTransform) -> np.ndarra
     """Tensor-tensor product: slice-wise matrix products in the transformed domain."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    _check_order(a)
+    _check_order(b)
     if a.shape[2] != b.shape[2]:
         raise ValueError(f"third dimensions differ: {a.shape[2]} vs {b.shape[2]}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    _check_transform(a, u)
     ahat = _slices_first(apply_transform(a, u))
     bhat = _slices_first(apply_transform(b, u))
     return inverse_transform(_slices_last(ahat @ bhat), u)
@@ -150,8 +151,6 @@ class TSVDFactors:
 
 def t_svd(x: np.ndarray, u: OrthogonalTransform) -> TSVDFactors:
     """Full transformed-domain SVD with per-slice descending singular values."""
-    x = np.asarray(x, dtype=float)
-    _check_transform(x, u)
     batch = _slices_first(apply_transform(x, u))
     left, sigma, right_h = np.linalg.svd(batch, full_matrices=True)
     u_tensor = inverse_transform(_slices_last(left), u)
@@ -161,8 +160,6 @@ def t_svd(x: np.ndarray, u: OrthogonalTransform) -> TSVDFactors:
 
 def transformed_singular_values(x: np.ndarray, u: OrthogonalTransform) -> np.ndarray:
     """Per-slice singular values in the transformed domain, shape ``(n3, min(n1, n2))``."""
-    x = np.asarray(x, dtype=float)
-    _check_transform(x, u)
     return np.linalg.svd(_slices_first(apply_transform(x, u)), compute_uv=False)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ttlearn
-from ttlearn import tasks
+from ttlearn import solver, tasks
 from ttlearn.cli import main
 from ttlearn.tensor_io import read_tensor, write_tensor
 from ttlearn.transforms import dct_transform
@@ -317,6 +317,37 @@ def test_bad_grid_value_names_the_field(grid, named):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--beta", "nan", "beta"),
+        ("--beta", "inf", "beta"),
+        ("--lambda", "inf", "lambda"),
+        ("--rho", "inf", "rho"),
+        ("--eta", "inf", "eta"),
+    ],
+)
+def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(solver, "pmm_solve", never)
+    args = ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "5", flag, value]
+    assert run_cli(args) == 1
+    assert f"config field '{named}': must be finite" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    code = (
+        "import sys, ttlearn, ttlearn.cli, ttlearn.tasks; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zero_test_count_means_no_test_split(tmp_path, recwarn):

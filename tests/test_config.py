@@ -97,6 +97,18 @@ def test_range_violations(field, value, tmp_path):
     assert excinfo.value.fieldname == field
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("field", ["lambda", "beta", "rho", "eta"])
+def test_non_finite_solver_parameters_rejected(field, literal, tmp_path):
+    # json.load accepts both literals; NaN already fails the positivity checks
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"task": "complete", "{field}": {literal}}}')
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    reason = "must be positive" if literal == "NaN" and field != "beta" else "must be finite"
+    assert str(excinfo.value) == f"config field {field!r}: {reason}"
+
+
 def test_delegated_range_messages():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({"task": "complete", "tau": 2.0})

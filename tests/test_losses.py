@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
-from ttlearn.losses import CompletionLoss, LogisticLoss
+from ttlearn.losses import CompletionLoss, LogisticLoss, expit
 from ttlearn.tensor_ops import fro_norm
 
 
@@ -105,6 +108,19 @@ class TestCompletionLoss:
             a = rng.standard_normal((3, 3, 2))
             b = rng.standard_normal((3, 3, 2))
             assert loss.value((a + b) / 2) <= (loss.value(a) + loss.value(b)) / 2 + 1e-10
+
+
+class TestExpit:
+    def test_agrees_with_scipy(self):
+        t = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-np.inf, np.inf]])
+        np.testing.assert_allclose(expit(t), scipy_expit(t), rtol=1e-15, atol=0.0)
+
+    def test_saturates_exactly_without_warnings_and_propagates_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(np.array([-np.inf, -800.0, 800.0, np.inf, np.nan]))
+        assert got[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert np.isnan(got[4])
 
 
 class TestLogisticLoss:

@@ -343,9 +343,12 @@ def test_as_tensor3_rejects_bad_input():
         lambda x, u: penalty_value(x, u, Penalty("mcp", lam=1.0, gamma=2.7)),
         lambda x, u: svt(x, 0.0, u),
         lambda x, u: dc_smooth_grad(x, u, Penalty("convex", lam=1.0)),
+        lambda x, u: top.t_product(x, np.zeros((2, 2, 2)), u),
+        lambda x, u: top.t_product(np.zeros((2, 2, 2)), x, u),
     ],
     ids=["apply_transform", "inverse_transform", "transformed_singular_values", "svt",
-         "penalty_value", "svt_tau_zero", "convex_dc_smooth_grad"],
+         "penalty_value", "svt_tau_zero", "convex_dc_smooth_grad", "t_product_left",
+         "t_product_right"],
 )
 def test_transform_entry_points_reject_a_matrix(call):
     with pytest.raises(ValueError, match="expected a third-order tensor, got ndim=2"):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 21 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 23 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -88,6 +88,8 @@ COMMANDS = [
     ["classify", "--synthetic", "--dims", "3x3x2", "--rank", "1", "--n-train", "40",
      "--n-test", "10", "--seed", "0", "--transform", "data", "--rho", "0.2",
      "--tol-inner", "1e-3", "--max-outer", "10"],
+    [*SMALL, "--beta", "nan"],
+    [*SMALL, "--lambda", "inf"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
