@@ -12,6 +12,15 @@ def expit(t):
         return 1.0 / (1.0 + np.exp(-t))
 
 
+def margins(samples, x) -> np.ndarray:
+    """Inner products ``<Z_i, x>`` of every tensor ``Z_i`` of the stack ``samples`` with ``x``."""
+    samples = np.asarray(samples, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if samples.shape[1:] != x.shape:
+        raise ValueError(f"shape mismatch: {x.shape} vs {samples.shape[1:]}")
+    return samples.reshape(samples.shape[0], x.size) @ x.ravel()
+
+
 class CompletionLoss:
     """Masked least squares ``(1/2p)·||P_Ω(x - y)||_F²``.
 
@@ -73,23 +82,15 @@ class LogisticLoss:
         self.labels = labels.astype(float)
         self.n = stack.shape[0]
         self.shape = stack.shape[1:]
-        self._design = stack.reshape(self.n, -1)
         self._sum_sq = float(np.sum(stack * stack))
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        """Inner products <Z_i, x> for every sample."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.shape:
-            raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
-        return self._design @ x.ravel()
-
     def value(self, x: np.ndarray) -> float:
-        m = self.margins(x)
+        m = margins(self.samples, x)
         return float(np.mean(np.logaddexp(0.0, m) - self.labels * m))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        weights = expit(self.margins(x)) - self.labels
-        return (weights @ self._design).reshape(self.shape) / self.n
+        weights = expit(margins(self.samples, x)) - self.labels
+        return (weights @ self.samples.reshape(self.n, -1)).reshape(self.shape) / self.n
 
     def lipschitz_constant(self) -> float:
         return self._sum_sq / (4 * self.n)

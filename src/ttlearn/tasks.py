@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import solver, tensor_ops as top
-from .losses import CompletionLoss, LogisticLoss, expit
+from .losses import CompletionLoss, LogisticLoss, expit, margins
 from .penalties import Penalty
 from .transforms import (
     OrthogonalTransform,
@@ -51,15 +51,28 @@ def add_gaussian_noise(x: np.ndarray, sigma: float, seed) -> np.ndarray:
     return x + sigma * rng.standard_normal(x.shape)
 
 
-def psnr(recovered: np.ndarray, truth: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB; the peak range is taken from ``truth``."""
+def _metric_inputs(recovered, truth, metric: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Float arrays and ``truth``'s value range; raises unless ``metric`` (PSNR/SSIM) is defined.
+
+    Shapes must agree and ``truth`` must vary, for SSIM within every frontal slice.
+    """
     recovered = np.asarray(recovered, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if recovered.shape != truth.shape:
         raise ValueError(f"shape mismatch: {recovered.shape} vs {truth.shape}")
     value_range = float(truth.max() - truth.min())
     if value_range == 0:
-        raise ValueError("truth tensor is constant; PSNR undefined")
+        raise ValueError(f"truth tensor is constant; {metric} undefined")
+    if metric == "SSIM":
+        constant = np.flatnonzero(truth.max(axis=(0, 1)) == truth.min(axis=(0, 1)))
+        if constant.size:
+            raise ValueError(f"truth slice {constant[0]} is constant; SSIM undefined")
+    return recovered, truth, value_range
+
+
+def psnr(recovered: np.ndarray, truth: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB; the peak range is taken from ``truth``."""
+    recovered, truth, value_range = _metric_inputs(recovered, truth, "PSNR")
     err = float(np.sum((recovered - truth) ** 2))
     if err == 0:
         return float("inf")
@@ -73,21 +86,13 @@ def ssim(recovered: np.ndarray, truth: np.ndarray) -> float:
     the value range of ``truth`` (so the measure is not symmetric in its
     arguments with respect to that range).
     """
-    recovered = np.asarray(recovered, dtype=float)
-    truth = np.asarray(truth, dtype=float)
-    if recovered.shape != truth.shape:
-        raise ValueError(f"shape mismatch: {recovered.shape} vs {truth.shape}")
-    value_range = float(truth.max() - truth.min())
-    if value_range == 0:
-        raise ValueError("truth tensor is constant; SSIM undefined")
+    recovered, truth, value_range = _metric_inputs(recovered, truth, "SSIM")
     c1 = (SSIM_K1 * value_range) ** 2
     c2 = (SSIM_K2 * value_range) ** 2
     scores = []
     for k in range(truth.shape[2]):
         a = truth[:, :, k]
         b = recovered[:, :, k]
-        if a.max() == a.min():
-            raise ValueError(f"truth slice {k} is constant; SSIM undefined")
         mu_a, mu_b = a.mean(), b.mean()
         var_a = ((a - mu_a) ** 2).mean()
         var_b = ((b - mu_b) ** 2).mean()
@@ -116,28 +121,6 @@ def synth_low_multirank(
     return top.inverse_transform(np.moveaxis(slices, 0, 2), u)
 
 
-@dataclass
-class CompletionProblem:
-    """Synthetic noisy-completion instance: ground truth plus sampling parameters."""
-
-    ground_truth: np.ndarray
-    sr: float
-    sigma_noise: float
-    seed: int
-
-    def observe(self) -> tuple[np.ndarray, np.ndarray]:
-        """Noisy observed tensor (zeros off-mask) and the mask.
-
-        Noise is added to the full tensor first, then the mask is drawn.
-        Child streams 1 and 2 of the seed are used (stream 0 is reserved for
-        generating the ground truth, see :func:`synth_completion`).
-        """
-        _, noise_seed, mask_seed = np.random.SeedSequence(self.seed).spawn(3)
-        noisy = add_gaussian_noise(self.ground_truth, self.sigma_noise, noise_seed)
-        mask = make_mask(self.ground_truth.shape, self.sr, mask_seed)
-        return np.where(mask, noisy, 0.0), mask
-
-
 def synth_completion(
     dims: tuple[int, int, int],
     r: int,
@@ -146,11 +129,15 @@ def synth_completion(
     u: OrthogonalTransform,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full synthetic completion instance: (ground truth, observed, mask)."""
-    truth_seed = np.random.SeedSequence(seed).spawn(3)[0]
+    """Full synthetic completion instance: (ground truth, observed, mask).
+
+    Child streams 0, 1 and 2 of ``seed`` draw the truth, the full-tensor noise and the mask.
+    """
+    truth_seed, noise_seed, mask_seed = np.random.SeedSequence(seed).spawn(3)
     truth = synth_low_multirank(dims, r, u, truth_seed)
-    y_obs, mask = CompletionProblem(truth, sr, sigma, seed).observe()
-    return truth, y_obs, mask
+    noisy = add_gaussian_noise(truth, sigma, noise_seed)
+    mask = make_mask(truth.shape, sr, mask_seed)
+    return truth, np.where(mask, noisy, 0.0), mask
 
 
 @dataclass
@@ -162,12 +149,11 @@ class ClassificationProblem:
     train_labels: np.ndarray
     test_samples: np.ndarray
     test_labels: np.ndarray
-    seed: int
 
 
 def _draw_samples(rng, dims, count, coeff):
     samples = rng.standard_normal((count,) + tuple(dims))
-    probs = expit(samples.reshape(count, coeff.size) @ coeff.ravel())
+    probs = expit(margins(samples, coeff))
     labels = (rng.random(count) < probs).astype(int)
     return samples, labels
 
@@ -205,16 +191,12 @@ def synth_logistic(
         train_labels=train_labels,
         test_samples=test_samples,
         test_labels=test_labels,
-        seed=seed if isinstance(seed, int) else -1,
     )
 
 
 def predict(x_hat: np.ndarray, test_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class-1 probabilities and hard labels (1 iff probability exceeds 0.5)."""
-    x_hat = np.asarray(x_hat, dtype=float)
-    stack = np.asarray(test_samples, dtype=float)
-    margins = stack.reshape(stack.shape[0], x_hat.size) @ x_hat.ravel()
-    probs = expit(margins)
+    probs = expit(margins(test_samples, x_hat))
     return probs, (probs > 0.5).astype(int)
 
 
@@ -293,9 +275,12 @@ def run_completion(
     transform from the pilot estimate; ``pilot_max_outer`` caps the pilot's
     outer iterations (full stopping rule when None). Returns the recovered
     tensor and a JSON-ready info dict (metrics included when ``ground_truth``
-    is given).
+    is given; a truth the metrics reject raises ``ValueError`` before the solve).
     """
     loss = CompletionLoss(y_obs, mask)
+    if ground_truth is not None:
+        for metric in ("PSNR", "SSIM"):
+            _metric_inputs(loss.y_obs, ground_truth, metric)
     if box_c is None:
         observed_peak = top.inf_norm(loss.y_obs)
         if observed_peak == 0:
@@ -306,13 +291,10 @@ def run_completion(
         rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
     )
     if ground_truth is not None:
-        truth_norm = top.fro_norm(ground_truth)
         info["metrics"] = {
             "psnr": psnr(recovered, ground_truth),
             "ssim": ssim(recovered, ground_truth),
-            "relative_error": top.fro_norm(recovered - ground_truth) / truth_norm
-            if truth_norm > 0
-            else float("nan"),
+            "relative_error": top.fro_norm(recovered - ground_truth) / top.fro_norm(ground_truth),
         }
     return recovered, info
 
@@ -338,14 +320,17 @@ def run_classification(
     Starts from the zero tensor; the ``data`` transform and ``pilot_max_outer``
     work as in :func:`run_completion`. Returns the coefficient estimate and a
     JSON-ready info dict; test accuracy is reported when a nonempty test split
-    is given.
+    is given, whose sample shape is checked before the solve.
     """
     loss = LogisticLoss(train_samples, train_labels)
+    tested = test_samples is not None and test_labels is not None and len(test_labels)
+    if tested:
+        margins(test_samples, np.zeros(loss.shape))
     coeff, info = _run(
         "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg, pilot_max_outer,
         rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
     )
-    if test_samples is not None and test_labels is not None and len(test_labels):
+    if tested:
         _, labels = predict(coeff, test_samples)
         info["metrics"] = {"test_accuracy": test_accuracy(labels, np.asarray(test_labels))}
     return coeff, info

@@ -82,7 +82,8 @@ def data_driven_transform(pilot: np.ndarray) -> OrthogonalTransform:
         raise ValueError("pilot tensor is zero; no transform can be derived")
     n1, n2, n3 = pilot.shape
     unfolding = pilot.reshape(n1 * n2, n3, order="F").T
-    left, _, _ = np.linalg.svd(unfolding, full_matrices=True)
+    # the thin U is n3×n3 unless n1·n2 < n3; the (n1·n2)² right factor is never needed
+    left, _, _ = np.linalg.svd(unfolding, full_matrices=n1 * n2 < n3)
     rows = left.T.copy()
     peak = np.argmax(np.abs(rows), axis=1)
     signs = np.sign(rows[np.arange(n3), peak])

@@ -339,6 +339,59 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
     assert f"config field '{named}': must be finite" in capsys.readouterr().err
 
 
+def written(path, tensor) -> str:
+    write_tensor(path, tensor)
+    return str(path)
+
+
+def complete_with_truth(tmp_path, truth):
+    observed = np.random.default_rng(0).standard_normal((4, 4, 2))
+    return [
+        "complete", "--observed", written(tmp_path / "obs.tns", observed),
+        "--mask", written(tmp_path / "mask.tns", np.ones((4, 4, 2))),
+        "--truth", written(tmp_path / "truth.tns", truth),
+    ]
+
+
+def classify_with_test_shape(tmp_path, test_shape):
+    rng = np.random.default_rng(0)
+    (tmp_path / "labels.txt").write_text("0\n1\n0\n1\n")
+    files = []
+    for name, (n1, n2, n3) in (("train", (4, 4, 2)), ("test", test_shape)):
+        stack = written(tmp_path / f"{name}.tns", rng.standard_normal((n1, n2, 4 * n3)))
+        files += [f"--{name}-samples", stack, f"--{name}-labels", str(tmp_path / "labels.txt")]
+    return ["classify", *files, "--rho", "1"]
+
+
+def constant_slice_truth():
+    truth = np.random.default_rng(1).standard_normal((4, 4, 2))
+    truth[:, :, 1] = 3.0
+    return truth
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (lambda tmp: ["complete", "--synthetic", "--dims", "6x6x2", "--rank", "0", "--rho", "1"],
+         "truth tensor is constant; PSNR undefined"),
+        (lambda tmp: complete_with_truth(tmp, np.ones((4, 4, 3))),
+         "shape mismatch: (4, 4, 2) vs (4, 4, 3)"),
+        (lambda tmp: complete_with_truth(tmp, constant_slice_truth()),
+         "truth slice 1 is constant; SSIM undefined"),
+        (lambda tmp: classify_with_test_shape(tmp, (8, 2, 2)),
+         "shape mismatch: (4, 4, 2) vs (8, 2, 2)"),
+    ],
+    ids=["constant-truth", "truth-shape", "constant-truth-slice", "test-sample-shape"],
+)
+def test_rejected_metric_inputs_exit_one_before_solving(argv, message, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("solve started")
+
+    monkeypatch.setattr(solver, "pmm_solve", never)
+    assert run_cli([*argv(tmp_path), "--max-outer", "5"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_runtime_imports_no_scipy():
     code = (
         "import sys, ttlearn, ttlearn.cli, ttlearn.tasks; "

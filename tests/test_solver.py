@@ -8,6 +8,7 @@ from ttlearn.losses import CompletionLoss, LogisticLoss
 from ttlearn.penalties import KINDS, TRUNCATED_MIN_SIDE, Penalty, dc_smooth_grad, svt
 from ttlearn.solver import (
     ADMMConfig,
+    DescentViolationError,
     NumericalDivergenceError,
     PMMConfig,
     admm_subproblem,
@@ -457,6 +458,28 @@ class TestPMMSolve:
         with pytest.raises(NumericalDivergenceError) as excinfo:
             pmm_solve(BadLoss(), MCP, identity_transform(1), cfg, ADMMConfig(), np.zeros((2, 2, 1)))
         assert excinfo.value.trace is not None
+
+    def test_descent_violation_error_carries_the_accepted_entries(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((3, 3, 2))
+        loss = full_mask_loss(y)
+        cfg = PMMConfig(rho=10.0, beta=0.5, box_c=5.0, max_outer=5)
+        real_subproblem, calls = solver.admm_subproblem, []
+
+        def worse_second_step(xt, *args, **kwargs):
+            x, m, z, residuals, inner = real_subproblem(xt, *args, **kwargs)
+            calls.append(xt)
+            if len(calls) == 2:
+                x = xt + 1.0  # moves every entry away from the full observation y
+            return x, m, z, residuals, inner
+
+        monkeypatch.setattr(solver, "admm_subproblem", worse_second_step)
+        with pytest.raises(DescentViolationError, match="objective increased by") as excinfo:
+            pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), np.zeros_like(y))
+        trace = excinfo.value.trace
+        assert trace.descent_checked
+        assert len(calls) == 2 and len(trace.entries) == 1
+        assert trace.entries[0].objective < trace.initial_objective
 
     def test_one_factorization_per_iterate(self, monkeypatch):
         # outside svt, x0 and every new iterate are factorized exactly once:

@@ -155,14 +155,6 @@ class TestSynthCompletion:
         np.testing.assert_array_equal(y_obs[~mask], 0.0)
         np.testing.assert_array_equal(y_obs[mask], truth[mask])  # sigma = 0
 
-    def test_problem_observe_matches_helper(self):
-        u = dct_transform(2)
-        truth, y_obs, mask = tasks.synth_completion((5, 5, 2), 1, 0.4, 0.1, u, seed=9)
-        problem = tasks.CompletionProblem(truth, 0.4, 0.1, 9)
-        y2, m2 = problem.observe()
-        np.testing.assert_array_equal(y_obs, y2)
-        np.testing.assert_array_equal(mask, m2)
-
 
 class TestSynthLogistic:
     def test_rank_zero_balanced_labels(self):
@@ -205,6 +197,25 @@ class TestSynthLogistic:
         std_err = np.sqrt(expected * (1 - expected) / n_test)
         assert abs(accuracy - expected) <= 3 * std_err
 
+    def test_unbalanced_first_draw_is_replaced_by_the_retry_stream(self):
+        # seed 0 with 8 training samples draws 2 of 8 positive labels first
+        dims, u = (3, 3, 2), dct_transform(2)
+        problem = tasks.synth_logistic(dims, 1, 8, 4, u, seed=0)
+        _, data_seed, retry_seed = np.random.SeedSequence(0).spawn(3)
+        first_rng = np.random.default_rng(data_seed)
+        _, first_labels = tasks._draw_samples(first_rng, dims, 8, problem.coeff_truth)
+        assert first_labels.mean() == 0.25
+        rng = np.random.default_rng(retry_seed)
+        train_samples, train_labels = tasks._draw_samples(rng, dims, 8, problem.coeff_truth)
+        test_samples, test_labels = tasks._draw_samples(rng, dims, 4, problem.coeff_truth)
+        np.testing.assert_array_equal(problem.train_samples, train_samples)
+        np.testing.assert_array_equal(problem.train_labels, train_labels)
+        np.testing.assert_array_equal(problem.test_samples, test_samples)
+        np.testing.assert_array_equal(problem.test_labels, test_labels)
+        again = tasks.synth_logistic(dims, 1, 8, 4, u, seed=0)
+        np.testing.assert_array_equal(again.train_samples, problem.train_samples)
+        np.testing.assert_array_equal(again.test_labels, problem.test_labels)
+
     def test_balance_guard(self):
         u = dct_transform(2)
         for seed in range(8):
@@ -234,6 +245,11 @@ class TestPredictAccuracy:
         for z, p in zip(samples, probs):
             margin = float(np.sum(z * x))
             assert p == pytest.approx(1 / (1 + np.exp(-margin)), rel=1e-12)
+
+    def test_misshaped_stack_rejected(self):
+        # 8x2x2 samples hold as many entries as a 4x4x2 coefficient, but not the same ones
+        with pytest.raises(ValueError, match="shape mismatch"):
+            tasks.predict(np.zeros((4, 4, 2)), np.zeros((5, 8, 2, 2)))
 
     def test_accuracy_values(self):
         assert tasks.test_accuracy([1, 0, 1], [1, 0, 1]) == 1.0

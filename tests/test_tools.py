@@ -71,6 +71,21 @@ def test_against_reports_each_differing_result_field():
     ]
 
 
+def test_against_compares_fields_only_when_both_trees_wrote_a_result():
+    tool = load_cli_digests()
+    theirs = [(1, ["complete"], ["exit 0", "result r1"], {"task": "complete"})]
+    ours = [(1, ["complete"], ["exit 1", "result none"], None)]
+    report, differ = tool.differences(ours, theirs)
+    assert differ == 1
+    assert report == [
+        "[01] ttlearn complete",
+        "  - exit 0",
+        "  - result r1",
+        "  + exit 1",
+        "  + result none",
+    ]
+
+
 def test_against_rejects_a_tree_without_ttlearn(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         load_cli_digests().main(["--against", str(tmp_path)])

@@ -104,3 +104,21 @@ def test_data_driven_sign_convention():
     mat = data_driven_transform(pilot).matrix
     peaks = np.abs(mat).argmax(axis=1)
     assert np.all(mat[np.arange(3), peaks] >= 0)
+
+
+def test_data_driven_requests_no_square_right_factor(monkeypatch):
+    # the n3 x n1*n2 unfolding's full right factor would be (n1*n2)^2 and is never used
+    real_svd, requested = np.linalg.svd, []
+
+    def recorded_svd(a, full_matrices=True, **kwargs):
+        requested.append((np.shape(a), full_matrices))
+        return real_svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    rng = np.random.default_rng(0)
+    data_driven_transform(rng.standard_normal((30, 30, 10)))
+    assert requested == [((10, 900), False)]
+    # with fewer columns than rows the full left factor is still square
+    u = data_driven_transform(rng.standard_normal((2, 2, 8)))
+    assert u.matrix.shape == (8, 8)
+    assert validate_orthogonal(u.matrix)

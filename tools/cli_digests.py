@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 23 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 27 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -17,9 +17,10 @@ With ``--against OTHER_SRC`` it runs the commands against both trees, each
 in its own fresh directory, prints only the commands whose lines differ
 (``-`` lines from ``OTHER_SRC``, ``+`` lines from ``DIR``) and exits 1 if
 any does, 0 if the two trees give byte-identical results, files and
-messages. Under a command whose ``result`` line differs, one ``~`` line
-per differing JSON path (list indices shown as ``[*]``) gives the largest
-relative difference at that path, or ``DIFF`` for a non-numeric change.
+messages. Under a command whose ``result`` line differs and for which both
+trees wrote a result JSON, one ``~`` line per differing JSON path (list
+indices shown as ``[*]``) gives the largest relative difference at that
+path, or ``DIFF`` for a non-numeric change.
 """
 from __future__ import annotations
 
@@ -90,6 +91,14 @@ COMMANDS = [
      "--tol-inner", "1e-3", "--max-outer", "10"],
     [*SMALL, "--beta", "nan"],
     [*SMALL, "--lambda", "inf"],
+    # 15x5x1 test samples hold as many entries as the 5x5x3 cls_ ones
+    ["synth", "--task", "classify", "--dims", "15x5x1", "--rank", "1", "--n-train", "10",
+     "--n-test", "20", "--seed", "3", "--out-prefix", "odd"],
+    ["classify", *CLASSIFY_FILES[:4], "--test-samples", "odd_test_samples.tns",
+     "--test-labels", "odd_test_labels.txt", "--rho", "0.2", "--max-outer", "5"],
+    [*SMALL, "--rank", "0", "--rho", "1", "--max-outer", "5"],
+    ["complete", "--synthetic", "--dims", "2x2x8", "--rank", "1", "--transform", "data",
+     "--max-outer", "5", "--rho", "4"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
@@ -203,7 +212,8 @@ def differences(ours, theirs) -> tuple[list[str], int]:
     Both arguments are :func:`digests` results for the same ``COMMANDS``;
     a differing command is printed with its ``theirs``-only lines as ``-``
     and its ``ours``-only lines as ``+``. Entries that carry their result
-    JSON as a fourth item add one ``~`` line per field that differs.
+    JSON as a fourth item add one ``~`` line per field that differs when
+    both results exist.
     """
     report, differ = [], 0
     for (index, command, new, *new_json), (_, _, old, *old_json) in zip(ours, theirs, strict=True):
@@ -213,7 +223,7 @@ def differences(ours, theirs) -> tuple[list[str], int]:
         report.append(header(index, command))
         report += [f"  - {line}" for line in old if line not in new]
         report += [f"  + {line}" for line in new if line not in old]
-        if new_json and old_json:
+        if new_json and old_json and None not in (new_json[0], old_json[0]):
             for path, diff in field_differences(new_json[0], old_json[0]).items():
                 report.append(f"  ~ {path} {diff}" if diff == "DIFF" else f"  ~ {path} {diff:.1e}")
     return report, differ
