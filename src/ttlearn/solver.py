@@ -15,7 +15,7 @@ relative KKT residual; the outer loop stops on the relative step norm.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -116,12 +116,7 @@ class ADMMConfig:
 
 @dataclass(frozen=True)
 class KKTResiduals:
-    """Relative KKT residuals of the inner subproblem (all Frobenius-based).
-
-    ``eta_d`` is ``inf`` when ``kkt_residuals`` was given a tolerance that
-    ``eta_e`` or ``eta_p`` already exceeds; its SVD was then skipped, and
-    ``eta_res`` is ``inf`` as well.
-    """
+    """Relative KKT residuals of the inner subproblem (all Frobenius-based)."""
 
     eta_e: float
     eta_d: float
@@ -190,16 +185,15 @@ def kkt_residuals(
     u: OrthogonalTransform,
     cfg: PMMConfig,
     *,
-    tol: float | None = None,
-    hint: SubspaceHint | None = None,
+    subgradient: np.ndarray | None = None,
 ) -> KKTResiduals:
     """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
 
-    Only ``eta_d`` needs an SVD. With ``tol`` given, ``eta_e`` and ``eta_p``
-    are computed first, and if either exceeds ``tol`` the stop test
-    ``eta_res <= tol`` fails whatever ``eta_d`` is, so ``eta_d`` is returned
-    as ``inf`` without the SVD. With ``tol=None`` all three are computed.
-    ``hint`` is handed to the ``svt`` call of ``eta_d``.
+    ``eta_d`` is ``||m - svt(m + z, beta*lam)||`` over ``1 + ||m|| + ||z||``,
+    which takes an SVD. Given a ``subgradient`` ``w`` with
+    ``m = svt(m + w, beta*lam)``, it is ``||w - z||`` over the same
+    denominator instead: ``svt`` is nonexpansive, so that bounds the exact
+    value from above without an SVD.
     """
     norm_m = fro_norm(m)
     norm_x = fro_norm(x)
@@ -216,9 +210,8 @@ def kkt_residuals(
         + cfg.beta * fro_norm(grad_s2_xt) / rho
     )
     eta_p = numerator / denominator
-    if tol is not None and max(eta_e, eta_p) > tol:
-        return KKTResiduals(eta_e=eta_e, eta_d=float("inf"), eta_p=eta_p)
-    eta_d = fro_norm(m - svt(m + z, cfg.beta * pen.lam, u, hint=hint)) / (1 + norm_m + norm_z)
+    gap = m - svt(m + z, cfg.beta * pen.lam, u) if subgradient is None else subgradient - z
+    eta_d = fro_norm(gap) / (1 + norm_m + norm_z)
     return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=eta_p)
 
 
@@ -232,24 +225,16 @@ def admm_subproblem(
     admm_cfg: ADMMConfig,
     warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     *,
-    hints: tuple[SubspaceHint, SubspaceHint] | None = None,
+    hint: SubspaceHint | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
     """Solve one outer subproblem by two-block ADMM.
 
     ``warm`` carries ``(m, x, z)`` from the previous outer iteration; the
     default start is zeros for ``m`` and ``z`` with ``x = xt``. Returns the
     final ``(x, m, z)``, the last KKT residuals, and the iteration count.
-    The stop test skips the ``eta_d`` SVD while ``eta_e`` or ``eta_p`` fails
-    it, except on the last allowed iteration, so the returned residuals are
-    always complete. ``hints`` are the subspace hints of the ``m``-update's
-    ``svt`` and of ``eta_d``'s, in that order; without them every ``svt``
-    call makes a full SVD. Without hints, or below ``svt``'s size gate,
-    iterates, stop decisions and residuals are bit for bit those of a loop
-    that computes ``eta_d`` on every iteration. Above the gate the skipped
-    ``eta_d`` calls leave the ``eta_d`` hint on an older subspace, so the
-    ``eta_d`` values agree with that loop's only within the truncated
-    kernel's certified error, and a stop decision that close to
-    ``tol_inner`` could differ.
+    The ``m``-update's ``svt``, with subspace hint ``hint``, is the only SVD
+    of an iteration: its subgradient bounds ``eta_d`` (see
+    :func:`kkt_residuals`), so a stop also meets the exact residual.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
@@ -263,14 +248,14 @@ def admm_subproblem(
     # constant part of the x-update numerator
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
-    m_hint, eta_d_hint = hints or (None, None)
     for iterations in range(1, admm_cfg.max_inner + 1):
-        m = svt(x + z / eta, threshold, u, hint=m_hint)
+        m = svt(x + z / eta, threshold, u, hint=hint)
+        # the m-update's optimality condition: m = svt(m + w, beta * lam)
+        w = z + eta * (x - m)
         x = project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
-        tol = None if iterations == admm_cfg.max_inner else admm_cfg.tol_inner
         residuals = kkt_residuals(
-            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, tol=tol, hint=eta_d_hint
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=w
         )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
@@ -288,14 +273,16 @@ def pmm_solve(
     """Run the outer loop from ``x0``; returns the final iterate and its trace.
 
     Gradients of the loss and of the smooth penalty part are evaluated once
-    per outer iteration; the inner solver is warm-started across iterations.
-    When ``rho`` clears the descent threshold, every step is asserted to not
-    increase the objective (beyond 1e-9 slack). The two ``svt`` call sites of
-    the inner solver each keep a :class:`~ttlearn.penalties.SubspaceHint`
-    for the whole solve, so large slices are thresholded from a warm
-    subspace instead of a full SVD. Outside ``svt``, every iterate is
-    factorized once, by :func:`~ttlearn.penalties.slice_svd`, for both its
-    objective and the next gradient of the smooth penalty part.
+    per outer iteration; the inner solver is warm-started across iterations
+    and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
+    When ``rho`` clears the descent threshold, an ADMM output ``y`` is
+    accepted only when ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2``
+    (plus 1e-9 slack), which by majorization gives the sufficient-descent
+    inequality with ``descent_margin``; otherwise ADMM resumes where it
+    stopped, within what is left of ``max_inner``. Every step is then
+    asserted to not increase the objective (beyond the same slack). Every
+    ADMM output is factorized once, by :func:`~ttlearn.penalties.slice_svd`,
+    for its nuclear norm, its objective and the next smooth-part gradient.
     """
     x = as_tensor3(x0).copy()
 
@@ -316,25 +303,39 @@ def pmm_solve(
         descent_margin=pmm_cfg.descent_margin(lipschitz) if descent_ok else 0.0,
     )
     warm = None
-    hints = (SubspaceHint(), SubspaceHint())
+    hint = SubspaceHint()
+    weight = pmm_cfg.beta * pen.lam
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
         grad_s2 = dc_smooth_grad(x, u, pen, factors)
-        x_new, m, z, residuals, inner = admm_subproblem(
-            x, grad_f, grad_s2, pen, u, pmm_cfg, admm_cfg, warm, hints=hints
-        )
-        if not np.all(np.isfinite(x_new)):
-            raise NumericalDivergenceError("iterate contains non-finite entries", trace)
+        # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
+        # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
+        slope = grad_f - pmm_cfg.beta * grad_s2
+        nuclear = factors[1].sum()
+        budget, inner = admm_cfg, 0
+        while True:
+            x_new, m, z, residuals, steps = admm_subproblem(
+                x, grad_f, grad_s2, pen, u, pmm_cfg, budget, warm, hint=hint
+            )
+            inner += steps
+            warm = (m, x_new, z)
+            if not np.all(np.isfinite(x_new)):
+                raise NumericalDivergenceError("iterate contains non-finite entries", trace)
+            step_norm = fro_norm(x_new - x)
+            factors = slice_svd(x_new, u)
+            gain = np.vdot(slope, x_new - x) + weight * (factors[1].sum() - nuclear)
+            bound = (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK
+            if not descent_ok or inner >= admm_cfg.max_inner or gain <= bound:
+                break
+            budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
 
-        step_norm = fro_norm(x_new - x)
         norm_x = fro_norm(x)
         if norm_x > 0:
             rel_step = step_norm / norm_x
         else:
             rel_step = 0.0 if step_norm == 0 else float("inf")
 
-        factors = slice_svd(x_new, u)
         new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg, factors)
         if descent_ok and new_objective > objective + DESCENT_SLACK:
             raise DescentViolationError(
@@ -350,9 +351,7 @@ def pmm_solve(
                 feasible=feasible,
             )
         )
-        warm = (m, x_new, z)
-        x = x_new
-        objective = new_objective
+        x, objective = x_new, new_objective
         if rel_step <= pmm_cfg.tol_outer:
             trace.converged = True
             break

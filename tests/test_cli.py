@@ -127,6 +127,18 @@ def test_complete_synthetic_deterministic_json(tmp_path):
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_complete_at_default_tol_inner_keeps_descent(tmp_path):
+    # every solver flag but lambda, beta and rho at its default: the inexact
+    # subproblem solves must still pass the descent check (no exit 2)
+    out = tmp_path / "r.json"
+    assert run_cli([
+        "complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--sr", "0.6",
+        "--seed", "0", "--lambda", "2", "--beta", "2", "--rho", "4", "--results", str(out),
+    ]) == 0
+    trace = load_json(out)["trace"]
+    assert trace["descent_checked"] and trace["converged"]
+
+
 def test_complete_grid_sweep(tmp_path):
     out = tmp_path / "grid.json"
     assert run_cli([

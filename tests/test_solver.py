@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ttlearn.tensor_ops as top
 from ttlearn import penalties, solver
@@ -16,7 +18,7 @@ from ttlearn.solver import (
     objective_value,
     pmm_solve,
 )
-from ttlearn.tasks import synth_completion
+from ttlearn.tasks import run_completion, synth_completion
 from ttlearn.transforms import dct_transform, identity_transform
 
 MCP = Penalty("mcp", lam=1.0, gamma=2.7)
@@ -136,33 +138,6 @@ class TestKKTResiduals:
         assert res.eta_p == pytest.approx(eta_p, abs=1e-12)
         assert res.eta_res == max(eta_e, eta_d, eta_p)
 
-    def test_tol_skips_eta_d_when_cheap_pair_fails(self, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("eta_d's SVD should have been skipped")
-
-        rng = np.random.default_rng(11)
-        x, m, z = (rng.standard_normal((3, 3, 2)) for _ in range(3))
-        cfg = PMMConfig(rho=2.0, beta=1.0, box_c=10.0)
-        monkeypatch.setattr(solver, "svt", no_svd)
-        res = kkt_residuals(x, m, z, x, z, z, MCP, dct_transform(2), cfg, tol=1e-3)
-        assert res.eta_e > 1e-3
-        assert res.eta_d == res.eta_res == float("inf")
-
-    def test_tol_keeps_eta_d_when_cheap_pair_passes(self):
-        rng = np.random.default_rng(12)
-        m = rng.standard_normal((3, 3, 2))
-        z = rng.standard_normal((3, 3, 2))
-        zero = np.zeros_like(m)
-        cfg = PMMConfig(rho=2.0, beta=1.0, box_c=10.0)
-        u = dct_transform(2)
-        # x = m and a stationary x make eta_e and eta_p vanish
-        xt = m + z / cfg.rho
-        full = kkt_residuals(m, m, z, xt, zero, zero, MCP, u, cfg)
-        lazy = kkt_residuals(m, m, z, xt, zero, zero, MCP, u, cfg, tol=1e-9)
-        assert max(full.eta_e, full.eta_p) <= 1e-12
-        assert np.isfinite(full.eta_d)
-        assert lazy == full
-
 
 class TestADMMSubproblem:
     def test_zero_fixed_point(self):
@@ -242,10 +217,10 @@ class TestADMMSubproblem:
         assert iters_warm <= iters_cold
 
 
-def eager_admm_subproblem(
-    xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *, hints=None
+def reference_admm_subproblem(
+    xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *, hint=None
 ):
-    """The ADMM inner loop with every KKT residual computed in full at every check."""
+    """The ADMM inner loop written out, with the dual-residual bound inline."""
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
     if warm is None:
@@ -256,13 +231,18 @@ def eager_admm_subproblem(
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
-    m_hint, eta_d_hint = hints or (None, None)
     for iterations in range(1, admm_cfg.max_inner + 1):
-        m = svt(x + z / eta, threshold, u, hint=m_hint)
+        m = svt(x + z / eta, threshold, u, hint=hint)
+        w = z + eta * (x - m)
         x = top.project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
-        residuals = kkt_residuals(
-            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, hint=eta_d_hint
+        # m = svt(m + w, beta*lam) and svt is nonexpansive, so ||w - z|| bounds
+        # ||m - svt(m + z, beta*lam)||; kkt_residuals gives only eta_e and eta_p
+        # here (subgradient=z zeroes its eta_d without an SVD)
+        eta_d = top.fro_norm(w - z) / (1 + top.fro_norm(m) + top.fro_norm(z))
+        residuals = dataclasses.replace(
+            kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z),
+            eta_d=eta_d,
         )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
@@ -305,14 +285,14 @@ def subproblem_args(
     )
 
 
-class TestLazyKKTCheck:
-    """Skipping eta_d's SVD must not change any iterate, count or residual."""
+class TestSubgradientKKTCheck:
+    """The inner stop test bounds eta_d by the m-update's own subgradient."""
 
     @given(**SUBPROBLEMS)
-    def test_matches_eager_loop(self, **drawn):
+    def test_matches_reference_loop(self, **drawn):
         args = subproblem_args(**drawn)
         x, m, z, res, iters = admm_subproblem(*args)
-        ref_x, ref_m, ref_z, ref_res, ref_iters = eager_admm_subproblem(*args)
+        ref_x, ref_m, ref_z, ref_res, ref_iters = reference_admm_subproblem(*args)
         assert np.array_equal(x, ref_x)
         assert np.array_equal(m, ref_m)
         assert np.array_equal(z, ref_z)
@@ -321,15 +301,46 @@ class TestLazyKKTCheck:
         assert res == ref_res
 
     @given(**SUBPROBLEMS)
-    def test_returned_residuals_match_a_standalone_call(self, **drawn):
-        # the residuals admm_subproblem returns are complete: recomputing all
-        # three at its (x, m, z) gives the same bits
+    def test_returned_residuals_match_a_standalone_call_with_the_subgradient(self, **drawn):
+        # one step from a known start: the subgradient is z0 + eta*(x0 - m)
+        xt, gf, gs2, pen, u, cfg, admm, warm = subproblem_args(**drawn)
+        m0, x0, z0 = warm or (np.zeros_like(xt), xt, np.zeros_like(xt))
+        one_step = dataclasses.replace(admm, max_inner=1)
+        x, m, z, res, _ = admm_subproblem(xt, gf, gs2, pen, u, cfg, one_step, warm)
+        w = z0 + admm.eta * (x0 - m)
+        assert kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg, subgradient=w) == res
+
+    @given(**SUBPROBLEMS)
+    def test_returned_eta_d_bounds_the_exact_one(self, **drawn):
         args = subproblem_args(**drawn)
         x, m, z, res, _ = admm_subproblem(*args)
         xt, gf, gs2, pen, u, cfg = args[:6]
-        assert kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg, tol=None) == res
+        exact = kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg)
+        assert (res.eta_e, res.eta_p) == (exact.eta_e, exact.eta_p)
+        assert np.isfinite(res.eta_d)
+        assert res.eta_d >= exact.eta_d - 1e-12
 
-    def test_pmm_trace_matches_eager_loop(self, monkeypatch):
+    def test_one_svt_per_inner_iteration(self, monkeypatch):
+        real_svt, calls = solver.svt, []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("hint"))
+            return real_svt(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "svt", counted)
+        rng = np.random.default_rng(8)
+        u = dct_transform(3)
+        xt, gf, gs2 = (rng.standard_normal((5, 4, 3)) for _ in range(3))
+        cfg = PMMConfig(rho=3.0, beta=1.0, box_c=0.8)
+        hint = penalties.SubspaceHint()
+        for tol_inner in (1e-8, 3e-3, 0.5):
+            calls.clear()
+            admm = ADMMConfig(tol_inner=tol_inner, max_inner=30)
+            *_, iters = admm_subproblem(xt, gf, gs2, MCP, u, cfg, admm, hint=hint)
+            assert len(calls) == iters
+            assert all(h is hint for h in calls)
+
+    def test_pmm_trace_matches_reference_loop(self, monkeypatch):
         rng = np.random.default_rng(21)
         u = dct_transform(3)
         y = rng.standard_normal((6, 6, 3))
@@ -339,7 +350,7 @@ class TestLazyKKTCheck:
         admm = ADMMConfig(tol_inner=3e-4, max_inner=20)
         x0 = loss.y_obs.copy()
         x, trace = pmm_solve(loss, MCP, u, cfg, admm, x0)
-        monkeypatch.setattr(solver, "admm_subproblem", eager_admm_subproblem)
+        monkeypatch.setattr(solver, "admm_subproblem", reference_admm_subproblem)
         ref_x, ref_trace = pmm_solve(loss, MCP, u, cfg, admm, x0)
         assert np.array_equal(x, ref_x)
         assert trace.to_dict() == ref_trace.to_dict()
@@ -464,13 +475,17 @@ class TestPMMSolve:
         y = rng.standard_normal((3, 3, 2))
         loss = full_mask_loss(y)
         cfg = PMMConfig(rho=10.0, beta=0.5, box_c=5.0, max_outer=5)
-        real_subproblem, calls = solver.admm_subproblem, []
+        real_subproblem, starts, inner_budgets = solver.admm_subproblem, [], []
 
         def worse_second_step(xt, *args, **kwargs):
             x, m, z, residuals, inner = real_subproblem(xt, *args, **kwargs)
-            calls.append(xt)
-            if len(calls) == 2:
-                x = xt + 1.0  # moves every entry away from the full observation y
+            if not starts or starts[-1] is not xt:
+                starts.append(xt)
+            if len(starts) == 2:
+                # every re-entry of the second subproblem returns the worse
+                # iterate, moving every entry away from the full observation y
+                inner_budgets.append(args[5].max_inner)
+                x = xt + 1.0
             return x, m, z, residuals, inner
 
         monkeypatch.setattr(solver, "admm_subproblem", worse_second_step)
@@ -478,8 +493,43 @@ class TestPMMSolve:
             pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), np.zeros_like(y))
         trace = excinfo.value.trace
         assert trace.descent_checked
-        assert len(calls) == 2 and len(trace.entries) == 1
+        assert len(starts) == 2 and len(trace.entries) == 1
+        # the descent rule re-entered ADMM until max_inner ran out
+        assert len(inner_budgets) > 1 and inner_budgets[0] == ADMMConfig().max_inner
+        assert all(b > a for a, b in zip(inner_budgets[1:], inner_budgets))
         assert trace.entries[0].objective < trace.initial_objective
+
+    @settings(max_examples=30)
+    @given(
+        dims=st.tuples(st.integers(2, 10), st.integers(2, 10), st.integers(1, 4)),
+        rank=st.integers(1, 2),
+        sr=st.floats(0.3, 0.9),
+        kind=st.sampled_from(KINDS),
+        lam=st.floats(0.5, 4.0),
+        beta=st.floats(0.5, 3.0),
+        rho_over_threshold=st.floats(1.05, 4.0),
+        tol_inner=st.sampled_from([3e-4, 1e-3, 3e-3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_step_meets_the_sufficient_descent_inequality(
+        self, dims, rank, sr, kind, lam, beta, rho_over_threshold, tol_inner, seed
+    ):
+        # criterion 7 on random small completions, box_c left to run_completion
+        u = dct_transform(dims[2])
+        _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
+        assume(mask.any() and top.inf_norm(y_obs) > 0)
+        threshold = CompletionLoss(y_obs, mask).lipschitz_constant() / (1 - 2 * PMMConfig.xi)
+        pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
+        _, info = run_completion(
+            y_obs, mask, pen, beta, rho=rho_over_threshold * threshold,
+            admm_cfg=ADMMConfig(tol_inner=tol_inner), max_outer=40,
+        )
+        trace = info["trace"]
+        assert trace["descent_checked"]
+        a = trace["descent_margin"]
+        objectives = [trace["initial_objective"]] + [e["objective"] for e in trace["entries"]]
+        for t, entry in enumerate(trace["entries"]):
+            assert objectives[t + 1] + a * entry["step_norm"] ** 2 - objectives[t] <= 1e-9
 
     def test_one_factorization_per_iterate(self, monkeypatch):
         # outside svt, x0 and every new iterate are factorized exactly once:

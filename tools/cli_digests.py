@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 27 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 28 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -99,6 +99,9 @@ COMMANDS = [
     [*SMALL, "--rank", "0", "--rho", "1", "--max-outer", "5"],
     ["complete", "--synthetic", "--dims", "2x2x8", "--rank", "1", "--transform", "data",
      "--max-outer", "5", "--rho", "4"],
+    # default tol_inner with rho above the descent threshold
+    ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--sr", "0.6",
+     "--seed", "0", "--lambda", "2", "--beta", "2", "--rho", "4"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
