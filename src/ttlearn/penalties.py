@@ -201,13 +201,18 @@ class SubspaceHint:
     next call's certificate would then most likely fail too. ``steps`` is
     the number of power steps the last accepted truncated call needed; the
     next call factorizes its projection first after that many, so that most
-    calls make one small SVD. A solve creates one hint per call site, so
-    repeated solves make the same calls and return the same bits.
+    calls make one small SVD. ``factors`` is ``(U, (S - tau)+, Vh)`` of the
+    last call's result, laid out like :func:`slice_svd`'s, or ``None`` after
+    a call with ``tau == 0``; on the truncated path it holds only the kept
+    subspace's triplets, so the result's other singular values are 0. A
+    solve creates one hint per call site, so repeated solves make the same
+    calls and return the same bits.
     """
 
     def __init__(self):
         self.basis: np.ndarray | None = None
         self.steps = 1
+        self.factors = None
 
     def _remember(self, factors, tau: float, side: int, fro2) -> None:
         # factors: (left, sigma, right_h) with sigma (n3, m) and right_h (n3, m, n2)
@@ -296,29 +301,34 @@ def svt(
     times the slice's Frobenius norm at most, of the full one. When the hint
     is empty or does not fit, or the certificate fails, the call falls back
     to the full SVD. Either way the call leaves its own subspace in the hint.
-    Every factorization goes through ``numpy.linalg.svd``.
+    Every factorization goes through ``numpy.linalg.svd``. Any given hint
+    also receives the factors of the result (see :class:`SubspaceHint`).
     """
     a = np.asarray(a, dtype=float)
     _check_transform(a, u)
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     if tau == 0:
+        if hint is not None:
+            hint.factors = None
         return a.copy()
-
-    def shrink(sigma):
-        return np.maximum(sigma - tau, 0.0)
 
     side = min(a.shape[:2])
     if hint is None or side < TRUNCATED_MIN_SIDE:
-        return spectral_map(slice_svd(a, u), shrink, u)
-    batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
-    fro2 = np.einsum("sij,sij->s", batch, batch)
-    found = None
-    if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
-        found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
-    if found is None:
-        factors = np.linalg.svd(batch, full_matrices=False)
+        factors = slice_svd(a, u)
     else:
-        factors, hint.steps = found
-    hint._remember(factors, tau, side, fro2)
-    return spectral_map(factors, shrink, u)
+        batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
+        fro2 = np.einsum("sij,sij->s", batch, batch)
+        found = None
+        if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
+            found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
+        if found is None:
+            factors = np.linalg.svd(batch, full_matrices=False)
+        else:
+            factors, hint.steps = found
+        hint._remember(factors, tau, side, fro2)
+    left, sigma, right_h = factors
+    shrunk = (left, np.maximum(sigma - tau, 0.0), right_h)
+    if hint is not None:
+        hint.factors = shrunk
+    return spectral_map(shrunk, lambda s: s, u)

@@ -7,10 +7,27 @@ The target problem is
 Each outer step linearizes, at the current iterate ``x_t``, the smooth loss
 and the smooth part of the DC-split penalty, adds a proximal quadratic
 ``(rho/2)||x - x_t||²``, and keeps the transformed-nuclear-norm term exactly.
-The resulting convex subproblem is split as ``x = m`` and solved by ADMM with
-closed-form updates: singular-value thresholding for ``m``, a box projection
-for ``x``, and a scaled dual ascent for ``z``. The inner loop stops on a
-relative KKT residual; the outer loop stops on the relative step norm.
+The resulting convex subproblem,
+
+    min_y  (rho/2)||y - v||² + beta*lam*||y||_*   subject to  |y|_inf <= c,
+
+with ``v = x_t - (grad f(x_t) - beta * grad S2(x_t)) / rho``, is split as
+``x = m`` and solved by ADMM with closed-form updates: singular-value
+thresholding for ``m``, a box projection for ``x``, and a scaled dual ascent
+for ``z``. The inner loop stops on a relative KKT residual; the outer loop
+stops on the relative step norm.
+
+When ``rho`` clears the descent threshold, each subproblem starts with the
+exact move: without the box its minimizer is one thresholding,
+``y* = svt(v, beta*lam/rho)``, so when ``|y*|_inf <= c`` it is the answer,
+with multiplier ``z* = rho (v - y*)``. That step counts as one inner
+iteration; when the box binds, the move counts as one and ADMM follows, so
+with ``max_inner > 1`` a descent-checked trace entry with
+``inner_iterations == 1`` is an exact step. The fallback ADMM starts from
+``(m, x, z) = (y*, project_box(y*), z*)``, unless the box moves ``y*`` by
+more than the last outer step moved the iterate; then the previous
+subproblem's solution is the nearer start and ADMM warm-starts from it. The
+solve starts from ``x0`` projected onto the box.
 """
 from __future__ import annotations
 
@@ -226,6 +243,8 @@ def admm_subproblem(
     warm: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     *,
     hint: SubspaceHint | None = None,
+    exact: bool = False,
+    warm_error: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
     """Solve one outer subproblem by two-block ADMM.
 
@@ -235,20 +254,46 @@ def admm_subproblem(
     The ``m``-update's ``svt``, with subspace hint ``hint``, is the only SVD
     of an iteration: its subgradient bounds ``eta_d`` (see
     :func:`kkt_residuals`), so a stop also meets the exact residual.
+
+    With ``exact``, the first iteration is the exact move instead:
+    ``y* = svt(v, beta*lam/rho)`` with the same hint, and ``z* = rho (v - y*)``,
+    a subgradient with ``y* = svt(y* + z*, beta*lam)``. When ``y*`` lies in
+    the box the call returns ``(y*, y*, z*)``, one object for both primal
+    blocks, after that one iteration. Otherwise ADMM continues from
+    ``(y*, project_box(y*), z*)``, whose error is at least the box's move
+    ``||y* - project_box(y*)||``, unless ``warm`` is given and that move
+    exceeds ``warm_error``, an estimate of the warm start's distance from
+    the answer; then it continues from ``warm``.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
-    if warm is None:
+    # constant part of the x-update numerator
+    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    first = 1
+    if exact:
+        v = drift / rho
+        m = svt(v, beta * pen.lam / rho, u, hint=hint)
+        z = rho * (v - m)
+        slack = inf_norm(m) <= c
+        # (y*, z*) fixes the x-update at project_box(y*)
+        x = m if slack else project_box(m, c)
+        if slack or admm_cfg.max_inner == 1:
+            residuals = kkt_residuals(
+                x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z
+            )
+            return x, m, z, residuals, 1
+        if warm is not None and fro_norm(x - m) > warm_error:
+            m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
+        first = 2
+    elif warm is None:
         m = np.zeros_like(xt)
         x = xt.copy()
         z = np.zeros_like(xt)
     else:
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
 
-    # constant part of the x-update numerator
-    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
-    for iterations in range(1, admm_cfg.max_inner + 1):
+    for iterations in range(first, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=hint)
         # the m-update's optimality condition: m = svt(m + w, beta * lam)
         w = z + eta * (x - m)
@@ -272,19 +317,25 @@ def pmm_solve(
 ) -> tuple[np.ndarray, SolveTrace]:
     """Run the outer loop from ``x0``; returns the final iterate and its trace.
 
-    Gradients of the loss and of the smooth penalty part are evaluated once
-    per outer iteration; the inner solver is warm-started across iterations
-    and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
-    When ``rho`` clears the descent threshold, an ADMM output ``y`` is
+    The loop starts from ``x0`` projected onto the box, so that the first
+    descent check compares two feasible points. Gradients of the loss and
+    of the smooth penalty part are evaluated once per outer iteration; the
+    inner solver is warm-started across iterations and keeps one
+    :class:`~ttlearn.penalties.SubspaceHint` for the solve.
+    When ``rho`` clears the descent threshold, each subproblem starts with
+    the exact move of :func:`admm_subproblem`, and an output ``y`` is
     accepted only when ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2``
     (plus 1e-9 slack), which by majorization gives the sufficient-descent
     inequality with ``descent_margin``; otherwise ADMM resumes where it
     stopped, within what is left of ``max_inner``. Every step is then
     asserted to not increase the objective (beyond the same slack). Every
-    ADMM output is factorized once, by :func:`~ttlearn.penalties.slice_svd`,
-    for its nuclear norm, its objective and the next smooth-part gradient.
+    new iterate is factorized once, for its nuclear norm, its objective and
+    the next smooth-part gradient: an exact step reuses the factors its
+    ``svt`` left in the hint when ``s2'(0) == 0`` (truncated factors omit
+    the zero singular values, whose ``s2'(0)`` term the gradient would
+    need); any other iterate gets :func:`~ttlearn.penalties.slice_svd`.
     """
-    x = as_tensor3(x0).copy()
+    x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
     lipschitz = loss.lipschitz_constant()
     descent_ok = pmm_cfg.rho > pmm_cfg.rho_threshold(lipschitz)
@@ -305,6 +356,9 @@ def pmm_solve(
     warm = None
     hint = SubspaceHint()
     weight = pmm_cfg.beta * pen.lam
+    reuse_factors = pen.s2_prime(0.0) == 0
+    # consecutive subproblems differ by about one outer step: the warm start's error
+    step_norm = np.inf
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
@@ -313,22 +367,27 @@ def pmm_solve(
         # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
         slope = grad_f - pmm_cfg.beta * grad_s2
         nuclear = factors[1].sum()
-        budget, inner = admm_cfg, 0
+        budget, inner, exact = admm_cfg, 0, descent_ok
         while True:
             x_new, m, z, residuals, steps = admm_subproblem(
-                x, grad_f, grad_s2, pen, u, pmm_cfg, budget, warm, hint=hint
+                x, grad_f, grad_s2, pen, u, pmm_cfg, budget, warm,
+                hint=hint, exact=exact, warm_error=step_norm,
             )
             inner += steps
             warm = (m, x_new, z)
             if not np.all(np.isfinite(x_new)):
                 raise NumericalDivergenceError("iterate contains non-finite entries", trace)
             step_norm = fro_norm(x_new - x)
-            factors = slice_svd(x_new, u)
+            # only an exact step returns m itself, whose factors svt left in the hint
+            if x_new is m and reuse_factors and hint.factors is not None:
+                factors = hint.factors
+            else:
+                factors = slice_svd(x_new, u)
             gain = np.vdot(slope, x_new - x) + weight * (factors[1].sum() - nuclear)
             bound = (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK
             if not descent_ok or inner >= admm_cfg.max_inner or gain <= bound:
                 break
-            budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
+            budget, exact = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner), False
 
         norm_x = fro_norm(x)
         if norm_x > 0:

@@ -139,6 +139,20 @@ def test_complete_at_default_tol_inner_keeps_descent(tmp_path):
     assert trace["descent_checked"] and trace["converged"]
 
 
+def test_complete_from_an_infeasible_observation_starts_in_the_box(tmp_path):
+    # box_c 0.3 is far below the observed peak: the solve starts from the
+    # projected observation, so its first descent check compares feasible points
+    out = tmp_path / "r.json"
+    assert run_cli([
+        "complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--box-c", "0.3",
+        "--rho", "4", "--lambda", "2", "--beta", "2", "--results", str(out),
+    ]) == 0
+    trace = load_json(out)["trace"]
+    assert trace["descent_checked"]
+    assert all(entry["feasible"] for entry in trace["entries"])
+    assert any(entry["inner_iterations"] > 1 for entry in trace["entries"])
+
+
 def test_complete_grid_sweep(tmp_path):
     out = tmp_path / "grid.json"
     assert run_cli([

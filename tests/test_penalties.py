@@ -545,6 +545,26 @@ class TestTruncatedSVT:
             np.testing.assert_array_equal(svt(b, TAU, u, hint=hint), svt(b, TAU, u))
             assert hint.basis is None
 
+    @pytest.mark.parametrize("side", [TRUNCATED_MIN_SIDE - 1, TRUNCATED_MIN_SIDE])
+    def test_hint_keeps_the_factors_of_the_result(self, side):
+        # below the gate (full SVD) and above it (full, then truncated): the
+        # shrunk factors rebuild the returned tensor bit for bit; tau 0 clears them
+        rng = np.random.default_rng(9)
+        u = dct_transform(2)
+        shape = (side, side, 2)
+        a = low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u)
+        hint = SubspaceHint()
+        for b in (a, a + 0.01 * rng.standard_normal(shape)):
+            out = svt(b, TAU, u, hint=hint)
+            left, shrunk, right_h = hint.factors
+            rebuilt = penalties.spectral_map(hint.factors, lambda s: s, u)
+            np.testing.assert_array_equal(rebuilt, out)
+            assert np.all(shrunk >= 0) and shrunk.shape == (2, left.shape[2])
+            assert right_h.shape == (2, left.shape[2], side)
+        assert (left.shape[2] < side) == (side >= TRUNCATED_MIN_SIDE)
+        np.testing.assert_array_equal(svt(a, 0.0, u, hint=hint), a)
+        assert hint.factors is None
+
     def test_failed_certificate_falls_back_to_the_full_svd(self, monkeypatch):
         rng = np.random.default_rng(6)
         u = dct_transform(2)

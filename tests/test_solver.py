@@ -7,8 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 import ttlearn.tensor_ops as top
 from ttlearn import penalties, solver
 from ttlearn.losses import CompletionLoss, LogisticLoss
-from ttlearn.penalties import KINDS, TRUNCATED_MIN_SIDE, Penalty, dc_smooth_grad, svt
+from ttlearn.penalties import (
+    KINDS,
+    TRUNCATED_MIN_SIDE,
+    Penalty,
+    dc_smooth_grad,
+    dc_smooth_value,
+    svt,
+)
 from ttlearn.solver import (
+    DESCENT_SLACK,
     ADMMConfig,
     DescentViolationError,
     NumericalDivergenceError,
@@ -218,20 +226,38 @@ class TestADMMSubproblem:
 
 
 def reference_admm_subproblem(
-    xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *, hint=None
+    xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *,
+    hint=None, exact=False, warm_error=0.0,
 ):
     """The ADMM inner loop written out, with the dual-residual bound inline."""
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
-    if warm is None:
+    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    iterations = 0
+    if exact:
+        # the unconstrained minimizer and its multiplier; in the box, the answer
+        v = drift / rho
+        m = svt(v, beta * pen.lam / rho, u, hint=hint)
+        z = rho * (v - m)
+        x = m if top.inf_norm(m) <= c else top.project_box(m, c)
+        iterations = 1
+        if x is m or admm_cfg.max_inner == 1:
+            # z is m's own subgradient, so eta_d is 0
+            residuals = dataclasses.replace(
+                kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z),
+                eta_d=0.0,
+            )
+            return x, m, z, residuals, iterations
+        if warm is not None and top.fro_norm(x - m) > warm_error:
+            m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
+    elif warm is None:
         m = np.zeros_like(xt)
         x = xt.copy()
         z = np.zeros_like(xt)
     else:
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
-    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     threshold = beta * pen.lam / eta
-    for iterations in range(1, admm_cfg.max_inner + 1):
+    for iterations in range(iterations + 1, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=hint)
         w = z + eta * (x - m)
         x = top.project_box((drift + eta * m - z) / (rho + eta), c)
@@ -356,6 +382,107 @@ class TestSubgradientKKTCheck:
         assert trace.to_dict() == ref_trace.to_dict()
 
 
+class TestExactMove:
+    """With ``exact``, a subproblem whose unconstrained minimizer lies in the box takes one svt."""
+
+    @given(**{k: SUBPROBLEMS[k] for k in ("n1", "n2", "n3", "transform", "kind", "lam",
+                                         "beta", "rho", "seed")})
+    def test_exact_step_meets_kkt_and_the_model_decrease(
+        self, n1, n2, n3, transform, kind, lam, beta, rho, seed
+    ):
+        # y* minimizes the rho-strongly convex model Phi_t, so
+        # Phi_t(y*) <= Phi_t(x_t) - (rho/2)||y* - x_t||^2 = F(x_t) - (rho/2)||y* - x_t||^2
+        rng = np.random.default_rng(seed)
+        shape = (n1, n2, n3)
+        y = rng.standard_normal(shape)
+        mask = rng.random(shape) < 0.7
+        mask.flat[0] = True
+        loss = CompletionLoss(np.where(mask, y, 0.0), mask)
+        xt = rng.standard_normal(shape)
+        u, pen = transform(n3), Penalty(kind, lam=lam, gamma=GAMMA[kind])
+        cfg = PMMConfig(rho=rho, beta=beta, box_c=1e3)
+        gf, gs2 = loss.grad(xt), dc_smooth_grad(xt, u, pen)
+        x, m, z, res, iters = admm_subproblem(
+            xt, gf, gs2, pen, u, cfg, ADMMConfig(), exact=True
+        )
+        assert x is m and iters == 1
+        assert res.eta_res <= 1e-12
+        delta = x - xt
+        model = (
+            loss.value(xt) + np.vdot(gf, delta) + 0.5 * rho * top.fro_norm(delta) ** 2
+            + beta * (lam * top.tensor_nuclear_norm(x, u) - dc_smooth_value(xt, u, pen)
+                      - np.vdot(gs2, delta))
+        )
+        start, _ = objective_value(xt, loss, pen, u, cfg)
+        assert model <= start - 0.5 * rho * top.fro_norm(delta) ** 2 + DESCENT_SLACK
+
+    @staticmethod
+    def binding_subproblem():
+        rng = np.random.default_rng(31)
+        xt, gf, gs2 = (rng.standard_normal((5, 4, 3)) for _ in range(3))
+        warm = tuple(rng.standard_normal((5, 4, 3)) for _ in range(3))
+        cfg = PMMConfig(rho=3.0, beta=1.0, box_c=0.3)
+        return (xt, gf, gs2, MCP, dct_transform(3), cfg), warm
+
+    def test_box_binding_fallback_starts_from_the_projected_exact_move(self):
+        args, _ = self.binding_subproblem()
+        xt, gf, gs2, pen, u, cfg = args
+        v = xt - (gf - cfg.beta * gs2) / cfg.rho
+        ystar = svt(v, cfg.beta * pen.lam / cfg.rho, u)
+        assert top.inf_norm(ystar) > cfg.box_c
+        # with no ADMM budget left the call returns its start
+        x0, m0, z0, res, iters = admm_subproblem(*args, ADMMConfig(max_inner=1), exact=True)
+        assert iters == 1
+        np.testing.assert_allclose(m0, ystar, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(x0, top.project_box(m0, cfg.box_c))
+        np.testing.assert_allclose(z0, cfg.rho * (v - ystar), rtol=0, atol=1e-12)
+        assert res == kkt_residuals(x0, m0, z0, *args, subgradient=z0)
+        # otherwise it runs plain ADMM from there: one svt more than ADMM alone
+        for steps in (1, 3, 30):
+            *out, iters = admm_subproblem(*args, ADMMConfig(max_inner=steps + 1), exact=True)
+            *ref, ref_iters = admm_subproblem(
+                *args, ADMMConfig(max_inner=steps), warm=(m0, x0, z0)
+            )
+            assert iters == ref_iters + 1
+            for a, b in zip(out, ref):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def test_fallback_keeps_a_warm_start_nearer_than_the_box_move(self):
+        args, warm = self.binding_subproblem()
+        x0, m0, z0, _, _ = admm_subproblem(*args, ADMMConfig(max_inner=1), exact=True)
+        move = top.fro_norm(x0 - m0)
+        assert move > 0
+        admm = ADMMConfig(max_inner=10)
+        for warm_error, start in ((move, (m0, x0, z0)), (0.99 * move, warm)):
+            *out, iters = admm_subproblem(
+                *args, admm, warm=warm, exact=True, warm_error=warm_error
+            )
+            *ref, ref_iters = admm_subproblem(*args, ADMMConfig(max_inner=9), warm=start)
+            assert iters == ref_iters + 1
+            assert all(np.array_equal(a, b) for a, b in zip(out[:3], ref[:3]))
+
+    def test_zero_threshold_step_takes_a_fresh_factorization(self, monkeypatch):
+        # beta = 0: svt returns a copy and leaves no factors in the hint, so
+        # pmm_solve factorizes every exact iterate itself
+        rng = np.random.default_rng(32)
+        y = rng.standard_normal((4, 4, 2))
+        loss = full_mask_loss(y)
+        cfg = PMMConfig(rho=5.0, beta=0.0, box_c=5.0, max_outer=10)
+        real_slice_svd, factored = solver.slice_svd, []
+
+        def recorded(x, u):
+            factored.append(x.copy())
+            return real_slice_svd(x, u)
+
+        monkeypatch.setattr(solver, "slice_svd", recorded)
+        x, trace = pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), np.zeros_like(y))
+        assert trace.entries and all(e.inner_iterations == 1 for e in trace.entries)
+        assert len(factored) == len(trace.entries) + 1
+        np.testing.assert_array_equal(factored[-1], x)
+        for objective, xi in zip(trace.objectives(), factored):
+            assert objective == loss.value(xi)
+
+
 class TestPMMSolve:
     def test_beta_zero_full_mask_recovers_target(self):
         rng = np.random.default_rng(7)
@@ -475,7 +602,7 @@ class TestPMMSolve:
         y = rng.standard_normal((3, 3, 2))
         loss = full_mask_loss(y)
         cfg = PMMConfig(rho=10.0, beta=0.5, box_c=5.0, max_outer=5)
-        real_subproblem, starts, inner_budgets = solver.admm_subproblem, [], []
+        real_subproblem, starts, inner_budgets, exact = solver.admm_subproblem, [], [], []
 
         def worse_second_step(xt, *args, **kwargs):
             x, m, z, residuals, inner = real_subproblem(xt, *args, **kwargs)
@@ -485,6 +612,7 @@ class TestPMMSolve:
                 # every re-entry of the second subproblem returns the worse
                 # iterate, moving every entry away from the full observation y
                 inner_budgets.append(args[5].max_inner)
+                exact.append(kwargs["exact"])
                 x = xt + 1.0
             return x, m, z, residuals, inner
 
@@ -497,6 +625,8 @@ class TestPMMSolve:
         # the descent rule re-entered ADMM until max_inner ran out
         assert len(inner_budgets) > 1 and inner_budgets[0] == ADMMConfig().max_inner
         assert all(b > a for a, b in zip(inner_budgets[1:], inner_budgets))
+        # the first entry makes the exact move; every re-entry runs ADMM from where it stopped
+        assert exact[0] and not any(exact[1:])
         assert trace.entries[0].objective < trace.initial_objective
 
     @settings(max_examples=30)
@@ -532,14 +662,16 @@ class TestPMMSolve:
             assert objectives[t + 1] + a * entry["step_norm"] ** 2 - objectives[t] <= 1e-9
 
     def test_one_factorization_per_iterate(self, monkeypatch):
-        # outside svt, x0 and every new iterate are factorized exactly once:
-        # the factors give its objective and the next smooth-part gradient
+        # outside svt, x0 and every iterate that ADMM returns are factorized
+        # exactly once: the factors give its objective and the next
+        # smooth-part gradient. An exact step makes no SVD outside svt: it
+        # reuses its svt's factors. Box 3.0 is slack at every step, 2.7 binds
+        # at every step.
         rng = np.random.default_rng(14)
         u = dct_transform(3)
         y = rng.standard_normal((6, 6, 3))
         mask = rng.random(y.shape) < 0.6
         loss = CompletionLoss(np.where(mask, y, 0.0), mask)
-        cfg = PMMConfig(rho=6.0, beta=1.0, box_c=3.0, max_outer=15)
         real_svd, real_svt, real_objective = np.linalg.svd, solver.svt, solver.objective_value
         in_svt, outside, iterates = [False], [], []
 
@@ -559,19 +691,25 @@ class TestPMMSolve:
             iterates.append(x.copy())
             return real_objective(x, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        monkeypatch.setattr(solver, "svt", marked_svt)
-        monkeypatch.setattr(solver, "objective_value", recorded_objective)
-        _, trace = pmm_solve(loss, MCP, u, cfg, ADMMConfig(tol_inner=3e-4), loss.y_obs.copy())
-        monkeypatch.undo()
-        outer = len(trace.entries)
-        assert outer > 1
-        assert outside == [(3, 6, 6)] * (outer + 1)
-        assert len(iterates) == outer + 1
-        for x, objective in zip(iterates, trace.objectives()):
-            sigma = top.transformed_singular_values(x, u)
-            expected = loss.value(x) + cfg.beta * float(MCP.g(sigma).sum())
-            assert objective == pytest.approx(expected, rel=1e-12, abs=0)
+        for box_c, exact_steps in ((3.0, True), (2.7, False)):
+            cfg = PMMConfig(rho=6.0, beta=1.0, box_c=box_c, max_outer=15)
+            outside.clear()
+            iterates.clear()
+            monkeypatch.setattr(np.linalg, "svd", counted_svd)
+            monkeypatch.setattr(solver, "svt", marked_svt)
+            monkeypatch.setattr(solver, "objective_value", recorded_objective)
+            _, trace = pmm_solve(loss, MCP, u, cfg, ADMMConfig(tol_inner=3e-4), loss.y_obs.copy())
+            monkeypatch.undo()
+            outer = len(trace.entries)
+            assert outer > 1
+            exact = sum(e.inner_iterations == 1 for e in trace.entries)
+            assert exact == (outer if exact_steps else 0)
+            assert outside == [(3, 6, 6)] * (outer - exact + 1)
+            assert len(iterates) == outer + 1
+            for x, objective in zip(iterates, trace.objectives()):
+                sigma = top.transformed_singular_values(x, u)
+                expected = loss.value(x) + cfg.beta * float(MCP.g(sigma).sum())
+                assert objective == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_x0_validation(self):
         cfg = PMMConfig(rho=10.0, beta=0.0, box_c=1.0)
@@ -596,7 +734,9 @@ class TestTruncatedSVTInSolve:
         return loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4)
 
     def test_same_iteration_counts_as_without_the_hints(self, problem, monkeypatch):
+        # a box well inside the data binds at every step, so ADMM runs after the exact move
         loss, pen, u, cfg, admm = problem
+        cfg = dataclasses.replace(cfg, box_c=4.0)
         accepted = []
         truncated = penalties._truncated_svt
 
@@ -608,12 +748,35 @@ class TestTruncatedSVTInSolve:
         monkeypatch.setattr(penalties, "_truncated_svt", counting)
         x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
         assert trace.converged and sum(accepted) > 100
+        assert all(e.inner_iterations > 1 for e in trace.entries)
         monkeypatch.setattr(solver, "svt", lambda a, tau, u, hint=None: svt(a, tau, u))
         ref_x, ref_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
         assert [e.inner_iterations for e in trace.entries] == [
             e.inner_iterations for e in ref_trace.entries
         ]
         assert top.fro_norm(x - ref_x) <= 1e-8 * top.fro_norm(ref_x)
+
+    def test_log_penalty_factorizes_every_iterate(self, problem, monkeypatch):
+        # s2'(0) = lam/2 != 0: the smooth-part gradient of a rank-deficient
+        # iterate depends on the basis of its zero singular values, so an exact
+        # step must not reuse the factors of v; the run matches one whose svt
+        # leaves no factors behind
+        loss, _, u, cfg, admm = problem
+        pen = Penalty("log", lam=12.0, gamma=2.0)
+        cfg = dataclasses.replace(cfg, max_outer=20)
+        x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert sum(e.inner_iterations == 1 for e in trace.entries) > 10
+
+        def forgetful(a, tau, u, hint=None):
+            out = svt(a, tau, u, hint=hint)
+            if hint is not None:
+                hint.factors = None
+            return out
+
+        monkeypatch.setattr(solver, "svt", forgetful)
+        ref_x, ref_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        np.testing.assert_allclose(trace.objectives(), ref_trace.objectives(), rtol=1e-10, atol=0)
+        assert top.fro_norm(x - ref_x) <= 1e-10 * top.fro_norm(ref_x)
 
     def test_repeated_solves_are_identical(self, problem):
         loss, pen, u, cfg, admm = problem

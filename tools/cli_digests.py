@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 28 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 29 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -102,6 +102,10 @@ COMMANDS = [
     # default tol_inner with rho above the descent threshold
     ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--sr", "0.6",
      "--seed", "0", "--lambda", "2", "--beta", "2", "--rho", "4"],
+    # a box far inside the observed peak: the solve starts from the projected
+    # observation and every subproblem falls back from the exact move to ADMM
+    ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--box-c", "0.3",
+     "--rho", "4", "--lambda", "2", "--beta", "2"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
