@@ -101,8 +101,8 @@ class ExperimentConfig:
         self.build_admm()
         if not 0 < self.sr <= 1:
             raise ConfigError("sr", "must lie in (0, 1]")
-        if self.sigma < 0:
-            raise ConfigError("sigma", "must be nonnegative")
+        if not 0 <= self.sigma < float("inf"):
+            raise ConfigError("sigma", "must be finite and nonnegative")
         if self.n_train < 1:
             raise ConfigError("n_train", "must be at least 1")
         if self.n_test < 0:

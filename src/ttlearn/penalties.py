@@ -1,9 +1,9 @@
 """Folded-concave spectral penalties and their difference-of-convex calculus.
 
 The scalar family g(x) is applied to the singular values of every transformed
-frontal slice. Each kind states only its convex differentiable s2; g is
-derived as s1 - s2 with s1(x) = lam*x. The solver linearizes s2 and keeps the
-nuclear-norm part s1, whose proximal map is singular-value thresholding (svt).
+frontal slice. g is s1 - s2 with s1(x) = lam*k0*x, its tangent at 0; each kind
+states only its convex differentiable s2, so s2'(0) = 0. The solver linearizes
+s2 and keeps the nuclear-norm part s1, whose prox is thresholding (svt).
 """
 from __future__ import annotations
 
@@ -43,9 +43,9 @@ def require_finite(**values: float) -> None:
 class Penalty:
     """Scalar penalty family: one of ``mcp``, ``scad``, ``log``, ``convex``.
 
-    ``lam`` scales the penalty; ``gamma`` controls the concavity (unused by
-    ``convex``, which is plain ``lam*x`` and turns the model into the convex
-    transformed-nuclear-norm baseline).
+    ``lam`` scales the penalty and the finite ``gamma`` its concavity: positive
+    for ``mcp`` and ``log`` (``lam*log1p(x/gamma)``), above 1 for ``scad``, and
+    unused by ``convex`` (plain ``lam*x``, the transformed-nuclear-norm baseline).
     """
 
     kind: str
@@ -62,12 +62,17 @@ class Penalty:
             raise ParameterError("gamma", f"must be positive for {self.kind}")
         if self.kind == "scad" and not self.gamma > 1:
             raise ParameterError("gamma", "must exceed 1 for scad")
-        require_finite(lam=self.lam)
+        require_finite(lam=self.lam, gamma=self.gamma)
 
     @property
     def k0(self) -> float:
         """Slope factor: the derivative at 0+ equals lam*k0 and bounds g' everywhere."""
         return 1.0 / self.gamma if self.kind == "log" else 1.0
+
+    @property
+    def slope(self) -> float:
+        """``lam*k0``, the slope of s1 and so the nuclear-norm weight, rounded as s2' is at 0."""
+        return self.lam / self.gamma if self.kind == "log" else self.lam
 
     @property
     def mu(self) -> float:
@@ -90,10 +95,10 @@ class Penalty:
         return self.s1(x) - self.s2(x)
 
     def g_prime(self, x) -> np.ndarray:
-        return self.lam - self.s2_prime(x)
+        return self.slope - self.s2_prime(x)
 
     def s1(self, x) -> np.ndarray:
-        return self.lam * self._domain(x)
+        return self.slope * self._domain(x)
 
     def s2(self, x) -> np.ndarray:
         x = self._domain(x)
@@ -108,7 +113,7 @@ class Penalty:
                 [np.zeros_like(x), (x - lam) ** 2 / (2 * (gamma - 1))],
                 default=lam * x - (gamma + 1) * lam**2 / 2,
             )
-        return lam * x - lam * np.log1p(x / gamma)
+        return self.slope * x - lam * np.log1p(x / gamma)
 
     def s2_prime(self, x) -> np.ndarray:
         x = self._domain(x)
@@ -123,7 +128,7 @@ class Penalty:
                 [np.zeros_like(x), (x - lam) / (gamma - 1)],
                 default=lam,
             )
-        return lam - lam / (x + gamma)
+        return self.slope - lam / (x + gamma)
 
 
 def slice_svd(x: np.ndarray, u: OrthogonalTransform):

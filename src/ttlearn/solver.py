@@ -9,7 +9,7 @@ and the smooth part of the DC-split penalty, adds a proximal quadratic
 ``(rho/2)||x - x_t||²``, and keeps the transformed-nuclear-norm term exactly.
 The resulting convex subproblem,
 
-    min_y  (rho/2)||y - v||² + beta*lam*||y||_*   subject to  |y|_inf <= c,
+    min_y  (rho/2)||y - v||² + beta*lam*k0*||y||_*   subject to  |y|_inf <= c,
 
 with ``v = x_t - (grad f(x_t) - beta * grad S2(x_t)) / rho``, is split as
 ``x = m`` and solved by ADMM with closed-form updates: singular-value
@@ -19,7 +19,7 @@ stops on the relative step norm.
 
 When ``rho`` clears the descent threshold, each subproblem starts with the
 exact move: without the box its minimizer is one thresholding,
-``y* = svt(v, beta*lam/rho)``, so when ``|y*|_inf <= c`` it is the answer,
+``y* = svt(v, beta*lam*k0/rho)``, so when ``|y*|_inf <= c`` it is the answer,
 with multiplier ``z* = rho (v - y*)``. That step counts as one inner
 iteration; when the box binds, the move counts as one and ADMM follows, so
 with ``max_inner > 1`` a descent-checked trace entry with
@@ -206,9 +206,9 @@ def kkt_residuals(
 ) -> KKTResiduals:
     """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
 
-    ``eta_d`` is ``||m - svt(m + z, beta*lam)||`` over ``1 + ||m|| + ||z||``,
-    which takes an SVD. Given a ``subgradient`` ``w`` with
-    ``m = svt(m + w, beta*lam)``, it is ``||w - z||`` over the same
+    ``eta_d`` is ``||m - svt(m + z, beta*lam*k0)||`` over ``1 + ||m|| + ||z||``
+    (``lam*k0`` is ``pen.slope``), which takes an SVD. Given a ``subgradient``
+    ``w`` with ``m = svt(m + w, beta*lam*k0)``, it is ``||w - z||`` over the same
     denominator instead: ``svt`` is nonexpansive, so that bounds the exact
     value from above without an SVD.
     """
@@ -227,7 +227,7 @@ def kkt_residuals(
         + cfg.beta * fro_norm(grad_s2_xt) / rho
     )
     eta_p = numerator / denominator
-    gap = m - svt(m + z, cfg.beta * pen.lam, u) if subgradient is None else subgradient - z
+    gap = m - svt(m + z, cfg.beta * pen.slope, u) if subgradient is None else subgradient - z
     eta_d = fro_norm(gap) / (1 + norm_m + norm_z)
     return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=eta_p)
 
@@ -256,8 +256,8 @@ def admm_subproblem(
     :func:`kkt_residuals`), so a stop also meets the exact residual.
 
     With ``exact``, the first iteration is the exact move instead:
-    ``y* = svt(v, beta*lam/rho)`` with the same hint, and ``z* = rho (v - y*)``,
-    a subgradient with ``y* = svt(y* + z*, beta*lam)``. When ``y*`` lies in
+    ``y* = svt(v, beta*lam*k0/rho)`` with the same hint, and ``z* = rho (v - y*)``,
+    a subgradient with ``y* = svt(y* + z*, beta*lam*k0)``. When ``y*`` lies in
     the box the call returns ``(y*, y*, z*)``, one object for both primal
     blocks, after that one iteration. Otherwise ADMM continues from
     ``(y*, project_box(y*), z*)``, whose error is at least the box's move
@@ -272,7 +272,7 @@ def admm_subproblem(
     first = 1
     if exact:
         v = drift / rho
-        m = svt(v, beta * pen.lam / rho, u, hint=hint)
+        m = svt(v, beta * pen.slope / rho, u, hint=hint)
         z = rho * (v - m)
         slack = inf_norm(m) <= c
         # (y*, z*) fixes the x-update at project_box(y*)
@@ -292,10 +292,10 @@ def admm_subproblem(
     else:
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
 
-    threshold = beta * pen.lam / eta
+    threshold = beta * pen.slope / eta
     for iterations in range(first, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=hint)
-        # the m-update's optimality condition: m = svt(m + w, beta * lam)
+        # the m-update's optimality condition: m = svt(m + w, beta * lam * k0)
         w = z + eta * (x - m)
         x = project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
@@ -331,9 +331,9 @@ def pmm_solve(
     asserted to not increase the objective (beyond the same slack). Every
     new iterate is factorized once, for its nuclear norm, its objective and
     the next smooth-part gradient: an exact step reuses the factors its
-    ``svt`` left in the hint when ``s2'(0) == 0`` (truncated factors omit
-    the zero singular values, whose ``s2'(0)`` term the gradient would
-    need); any other iterate gets :func:`~ttlearn.penalties.slice_svd`.
+    ``svt`` left in the hint (truncated factors omit zero singular values,
+    which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
+    gets :func:`~ttlearn.penalties.slice_svd`.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
@@ -355,8 +355,7 @@ def pmm_solve(
     )
     warm = None
     hint = SubspaceHint()
-    weight = pmm_cfg.beta * pen.lam
-    reuse_factors = pen.s2_prime(0.0) == 0
+    weight = pmm_cfg.beta * pen.slope
     # consecutive subproblems differ by about one outer step: the warm start's error
     step_norm = np.inf
 
@@ -379,7 +378,7 @@ def pmm_solve(
                 raise NumericalDivergenceError("iterate contains non-finite entries", trace)
             step_norm = fro_norm(x_new - x)
             # only an exact step returns m itself, whose factors svt left in the hint
-            if x_new is m and reuse_factors and hint.factors is not None:
+            if x_new is m and hint.factors is not None:
                 factors = hint.factors
             else:
                 factors = slice_svd(x_new, u)

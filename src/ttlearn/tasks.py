@@ -42,8 +42,8 @@ def make_mask(dims: tuple[int, int, int], sr: float, seed) -> np.ndarray:
 
 
 def add_gaussian_noise(x: np.ndarray, sigma: float, seed) -> np.ndarray:
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     x = np.asarray(x, dtype=float)
     if sigma == 0:
         return x.copy()
@@ -185,13 +185,7 @@ def synth_logistic(
         rng = np.random.default_rng(retry_seed)
         train_samples, train_labels = _draw_samples(rng, dims, n_train, coeff)
     test_samples, test_labels = _draw_samples(rng, dims, n_test, coeff)
-    return ClassificationProblem(
-        coeff_truth=coeff,
-        train_samples=train_samples,
-        train_labels=train_labels,
-        test_samples=test_samples,
-        test_labels=test_labels,
-    )
+    return ClassificationProblem(coeff, train_samples, train_labels, test_samples, test_labels)
 
 
 def predict(x_hat: np.ndarray, test_samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -175,8 +175,8 @@ def spectral_norm(x: np.ndarray, u: OrthogonalTransform) -> float:
 
 def multi_rank(x: np.ndarray, u: OrthogonalTransform, tol: float = 1e-10) -> np.ndarray:
     """Per-slice ranks: counts of singular values above ``tol`` times the largest one."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and nonnegative")
     sigma = transformed_singular_values(x, u)
     return (sigma > tol * sigma.max()).sum(axis=1)
 

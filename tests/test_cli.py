@@ -365,6 +365,29 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
     assert f"config field '{named}': must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["complete", "--synthetic", "--dims", "6x6x2", "--penalty", "convex", "--gamma", "nan",
+          "--results", "out.json", "--output", "rec.tns"], "config field 'gamma': must be finite"),
+        (["complete", "--synthetic", "--dims", "6x6x2", "--penalty", "convex", "--gamma", "inf",
+          "--results", "out.json"], "config field 'gamma': must be finite"),
+        (["synth", "--task", "complete", "--dims", "6x6x2", "--sigma", "nan",
+          "--out-prefix", "inst"],
+         "config field 'sigma': must be finite and nonnegative"),
+        (["tsvd", "--input", "x.tns", "--tol", "nan", "--results", "out.json"],
+         "tol must be finite and nonnegative"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "synth-sigma-nan", "tsvd-tol-nan"],
+)
+def test_non_finite_input_exits_one_before_writing(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_tensor("x.tns", np.ones((3, 3, 2)))
+    assert run_cli(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["x.tns"]
+
+
 def written(path, tensor) -> str:
     write_tensor(path, tensor)
     return str(path)

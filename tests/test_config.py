@@ -109,6 +109,19 @@ def test_non_finite_solver_parameters_rejected(field, literal, tmp_path):
     assert str(excinfo.value) == f"config field {field!r}: {reason}"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "field,reason", [("gamma", "must be finite"), ("sigma", "must be finite and nonnegative")]
+)
+def test_non_finite_gamma_and_sigma_rejected(field, reason, literal, tmp_path):
+    # the convex penalty ignores gamma, but a non-finite value is still rejected
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"task": "complete", "penalty": "convex", "{field}": {literal}}}')
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"config field {field!r}: {reason}"
+
+
 def test_delegated_range_messages():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({"task": "complete", "tau": 2.0})

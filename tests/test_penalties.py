@@ -66,6 +66,13 @@ class TestParamValidation:
             Penalty("scad", lam=1.0, gamma=1.0)
         Penalty("scad", lam=1.0, gamma=1.01)
 
+    @pytest.mark.parametrize("kind", ["mcp", "scad", "log", "convex"])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_gamma_must_be_finite(self, kind, gamma):
+        with pytest.raises(penalties.ParameterError) as excinfo:
+            Penalty(kind, lam=1.0, gamma=gamma)
+        assert excinfo.value.name == "gamma"
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             Penalty("lasso", lam=1.0)
@@ -139,10 +146,11 @@ class TestDCSplit:
         assert pen.s2_prime(0.5) == 0.0
 
     def test_s2_prime_at_zero(self):
-        assert Penalty("mcp", lam=1.0, gamma=2.0).s2_prime(0.0) == 0.0
-        assert Penalty("scad", lam=1.0, gamma=3.0).s2_prime(0.0) == 0.0
-        pen = Penalty("log", lam=1.5, gamma=3.0)
-        assert pen.s2_prime(0.0) == pytest.approx(1.5 * (1 - 1 / 3.0))
+        # s1 is the tangent of g at 0, whatever the kind
+        logs = [Penalty("log", lam=1.5, gamma=gamma) for gamma in (0.5, 3.0)]
+        for pen in ALL_KINDS + logs:
+            assert pen.s2_prime(0.0) == 0
+            assert pen.g_prime(0.0) == pen.slope
 
     @pytest.mark.parametrize("pen", ALL_KINDS)
     def test_g_equals_s1_minus_s2(self, pen):
@@ -189,6 +197,12 @@ class TestDerivedConstants:
         assert Penalty("log", lam=1.0, gamma=2.5).k0 == pytest.approx(0.4)
         assert Penalty("convex", lam=3.0).k0 == 1.0
 
+    @pytest.mark.parametrize("pen", ALL_KINDS + [Penalty("log", lam=3.0, gamma=0.7)])
+    def test_slope_is_lam_k0(self, pen):
+        assert pen.slope == pytest.approx(pen.lam * pen.k0, rel=1e-15)
+        if pen.k0 == 1:
+            assert pen.slope == pen.lam
+
 
 class TestTensorPenalty:
     def test_zero_tensor(self):
@@ -222,8 +236,21 @@ class TestTensorPenalty:
         for _ in range(100):
             x = rng.standard_normal((3, 3, 4))
             lhs = penalty_value(x, u, pen) + dc_smooth_value(x, u, pen)
-            rhs = pen.lam * top.tensor_nuclear_norm(x, u)
+            rhs = pen.lam * pen.k0 * top.tensor_nuclear_norm(x, u)
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @pytest.mark.parametrize("pen", ALL_KINDS + [Penalty("log", lam=1.0, gamma=0.5)])
+    def test_smooth_part_is_midpoint_convex(self, pen):
+        # a spectral function is convex when the even extension of s2 is
+        # (Lewis 1995), which needs s2'(0) >= 0; small spectra probe that end
+        rng = np.random.default_rng(9)
+        u = dct_transform(2)
+        for scale in (1e-3, 1.0, 10.0):
+            for _ in range(50):
+                x, y = scale * rng.standard_normal((2, 4, 3, 2))
+                mid = dc_smooth_value((x + y) / 2, u, pen)
+                ends = (dc_smooth_value(x, u, pen) + dc_smooth_value(y, u, pen)) / 2
+                assert mid <= ends + 1e-12 * max(1.0, abs(ends))
 
     def test_lemma_nuclear_norm_bound(self):
         # lam*k0*||X||_* <= penalty + (mu/2)*||X||_F^2 for matrices as n3=1 tensors

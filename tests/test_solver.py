@@ -237,7 +237,7 @@ def reference_admm_subproblem(
     if exact:
         # the unconstrained minimizer and its multiplier; in the box, the answer
         v = drift / rho
-        m = svt(v, beta * pen.lam / rho, u, hint=hint)
+        m = svt(v, beta * pen.slope / rho, u, hint=hint)
         z = rho * (v - m)
         x = m if top.inf_norm(m) <= c else top.project_box(m, c)
         iterations = 1
@@ -256,7 +256,7 @@ def reference_admm_subproblem(
         z = np.zeros_like(xt)
     else:
         m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
-    threshold = beta * pen.lam / eta
+    threshold = beta * pen.slope / eta
     for iterations in range(iterations + 1, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=hint)
         w = z + eta * (x - m)
@@ -275,7 +275,17 @@ def reference_admm_subproblem(
     return x, m, z, residuals, iterations
 
 
-GAMMA = {"mcp": 2.7, "scad": 3.7, "log": 1.0, "convex": 0.0}
+# log's gamma lies on both sides of 1: s2'(0) = 0 must hold whatever gamma is
+GAMMAS = {"mcp": [2.7], "scad": [3.7], "log": [0.25, 0.5, 1.0, 2.0, 4.0], "convex": [0.0]}
+KIND_GAMMA = st.sampled_from(KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), st.sampled_from(GAMMAS[kind]))
+)
+
+
+def drawn_penalty(kind_gamma, lam):
+    kind, gamma = kind_gamma
+    return Penalty(kind, lam=lam, gamma=gamma)
+
 
 # random small subproblems, all below svt's size gate
 SUBPROBLEMS = dict(
@@ -283,7 +293,7 @@ SUBPROBLEMS = dict(
     n2=st.integers(1, 6),
     n3=st.integers(1, 3),
     transform=st.sampled_from([identity_transform, dct_transform]),
-    kind=st.sampled_from(KINDS),
+    kind_gamma=KIND_GAMMA,
     lam=st.floats(0.05, 2.0),
     beta=st.floats(0.0, 2.0),
     rho=st.floats(0.5, 10.0),
@@ -296,14 +306,14 @@ SUBPROBLEMS = dict(
 
 
 def subproblem_args(
-    n1, n2, n3, transform, kind, lam, beta, rho, box_c, tol_inner, max_inner, warm, seed
+    n1, n2, n3, transform, kind_gamma, lam, beta, rho, box_c, tol_inner, max_inner, warm, seed
 ):
     """Positional arguments of :func:`admm_subproblem` for one drawn subproblem."""
     rng = np.random.default_rng(seed)
     shape = (n1, n2, n3)
     xt, gf, gs2 = (rng.standard_normal(shape) for _ in range(3))
     start = tuple(rng.standard_normal(shape) for _ in range(3)) if warm else None
-    pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
+    pen = drawn_penalty(kind_gamma, lam)
     return (
         xt, gf, gs2, pen, transform(n3),
         PMMConfig(rho=rho, beta=beta, box_c=box_c),
@@ -385,10 +395,10 @@ class TestSubgradientKKTCheck:
 class TestExactMove:
     """With ``exact``, a subproblem whose unconstrained minimizer lies in the box takes one svt."""
 
-    @given(**{k: SUBPROBLEMS[k] for k in ("n1", "n2", "n3", "transform", "kind", "lam",
+    @given(**{k: SUBPROBLEMS[k] for k in ("n1", "n2", "n3", "transform", "kind_gamma", "lam",
                                          "beta", "rho", "seed")})
     def test_exact_step_meets_kkt_and_the_model_decrease(
-        self, n1, n2, n3, transform, kind, lam, beta, rho, seed
+        self, n1, n2, n3, transform, kind_gamma, lam, beta, rho, seed
     ):
         # y* minimizes the rho-strongly convex model Phi_t, so
         # Phi_t(y*) <= Phi_t(x_t) - (rho/2)||y* - x_t||^2 = F(x_t) - (rho/2)||y* - x_t||^2
@@ -399,7 +409,7 @@ class TestExactMove:
         mask.flat[0] = True
         loss = CompletionLoss(np.where(mask, y, 0.0), mask)
         xt = rng.standard_normal(shape)
-        u, pen = transform(n3), Penalty(kind, lam=lam, gamma=GAMMA[kind])
+        u, pen = transform(n3), drawn_penalty(kind_gamma, lam)
         cfg = PMMConfig(rho=rho, beta=beta, box_c=1e3)
         gf, gs2 = loss.grad(xt), dc_smooth_grad(xt, u, pen)
         x, m, z, res, iters = admm_subproblem(
@@ -410,7 +420,7 @@ class TestExactMove:
         delta = x - xt
         model = (
             loss.value(xt) + np.vdot(gf, delta) + 0.5 * rho * top.fro_norm(delta) ** 2
-            + beta * (lam * top.tensor_nuclear_norm(x, u) - dc_smooth_value(xt, u, pen)
+            + beta * (pen.slope * top.tensor_nuclear_norm(x, u) - dc_smooth_value(xt, u, pen)
                       - np.vdot(gs2, delta))
         )
         start, _ = objective_value(xt, loss, pen, u, cfg)
@@ -629,12 +639,14 @@ class TestPMMSolve:
         assert exact[0] and not any(exact[1:])
         assert trace.entries[0].objective < trace.initial_objective
 
-    @settings(max_examples=30)
+    # 60 examples draw enough log penalties with gamma < 1 to reach a step
+    # that a split with s2'(0) < 0 fails
+    @settings(max_examples=60)
     @given(
         dims=st.tuples(st.integers(2, 10), st.integers(2, 10), st.integers(1, 4)),
         rank=st.integers(1, 2),
         sr=st.floats(0.3, 0.9),
-        kind=st.sampled_from(KINDS),
+        kind_gamma=KIND_GAMMA,
         lam=st.floats(0.5, 4.0),
         beta=st.floats(0.5, 3.0),
         rho_over_threshold=st.floats(1.05, 4.0),
@@ -642,14 +654,14 @@ class TestPMMSolve:
         seed=st.integers(0, 2**16),
     )
     def test_every_step_meets_the_sufficient_descent_inequality(
-        self, dims, rank, sr, kind, lam, beta, rho_over_threshold, tol_inner, seed
+        self, dims, rank, sr, kind_gamma, lam, beta, rho_over_threshold, tol_inner, seed
     ):
         # criterion 7 on random small completions, box_c left to run_completion
         u = dct_transform(dims[2])
         _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
         assume(mask.any() and top.inf_norm(y_obs) > 0)
         threshold = CompletionLoss(y_obs, mask).lipschitz_constant() / (1 - 2 * PMMConfig.xi)
-        pen = Penalty(kind, lam=lam, gamma=GAMMA[kind])
+        pen = drawn_penalty(kind_gamma, lam)
         _, info = run_completion(
             y_obs, mask, pen, beta, rho=rho_over_threshold * threshold,
             admm_cfg=ADMMConfig(tol_inner=tol_inner), max_outer=40,
@@ -756,16 +768,24 @@ class TestTruncatedSVTInSolve:
         ]
         assert top.fro_norm(x - ref_x) <= 1e-8 * top.fro_norm(ref_x)
 
-    def test_log_penalty_factorizes_every_iterate(self, problem, monkeypatch):
-        # s2'(0) = lam/2 != 0: the smooth-part gradient of a rank-deficient
-        # iterate depends on the basis of its zero singular values, so an exact
-        # step must not reuse the factors of v; the run matches one whose svt
-        # leaves no factors behind
+    def test_log_penalty_hands_the_exact_factors_on(self, problem, monkeypatch):
+        # s2'(0) = 0 for log too, so the zero singular values that truncated
+        # factors omit add nothing to the smooth-part gradient: every exact
+        # step reuses its svt's factors, and the only slice_svd is x0's. The
+        # run matches one whose svt leaves no factors behind.
         loss, _, u, cfg, admm = problem
         pen = Penalty("log", lam=12.0, gamma=2.0)
         cfg = dataclasses.replace(cfg, max_outer=20)
+        real_slice_svd, factorized = solver.slice_svd, []
+
+        def counted(x, u):
+            factorized.append(x)
+            return real_slice_svd(x, u)
+
+        monkeypatch.setattr(solver, "slice_svd", counted)
         x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
-        assert sum(e.inner_iterations == 1 for e in trace.entries) > 10
+        assert all(e.inner_iterations == 1 for e in trace.entries)
+        assert len(trace.entries) > 10 and len(factorized) == 1
 
         def forgetful(a, tau, u, hint=None):
             out = svt(a, tau, u, hint=hint)
@@ -777,6 +797,16 @@ class TestTruncatedSVTInSolve:
         ref_x, ref_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
         np.testing.assert_allclose(trace.objectives(), ref_trace.objectives(), rtol=1e-10, atol=0)
         assert top.fro_norm(x - ref_x) <= 1e-10 * top.fro_norm(ref_x)
+
+    def test_log_penalty_below_gamma_one_meets_the_descent_inequality(self, problem):
+        # with gamma < 1 the smooth part is convex only because s2'(0) = 0
+        loss, _, u, cfg, admm = problem
+        pen = Penalty("log", lam=12.0, gamma=0.5)
+        _, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert trace.descent_checked and trace.entries
+        a, objectives = trace.descent_margin, trace.objectives()
+        for t, entry in enumerate(trace.entries):
+            assert objectives[t + 1] + a * entry.step_norm**2 - objectives[t] <= 1e-9
 
     def test_repeated_solves_are_identical(self, problem):
         loss, pen, u, cfg, admm = problem

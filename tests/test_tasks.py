@@ -58,6 +58,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             tasks.add_gaussian_noise(np.zeros((1, 1, 1)), -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            tasks.add_gaussian_noise(np.zeros((1, 1, 1)), sigma, 0)
+
 
 class TestPSNR:
     def test_perfect_recovery_is_infinite(self):

@@ -277,6 +277,11 @@ class TestMultiRank:
         with pytest.raises(ValueError):
             top.multi_rank(np.zeros((2, 2, 2)), identity_transform(2), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            top.multi_rank(np.ones((2, 2, 2)), identity_transform(2), tol=tol)
+
 
 class TestBoxAndNorms:
     def test_project_box_inside_unchanged(self):

@@ -1,9 +1,11 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "cli_digests.py"
 
 
 def load_cli_digests():
@@ -91,3 +93,14 @@ def test_against_rejects_a_tree_without_ttlearn(tmp_path, capsys):
         load_cli_digests().main(["--against", str(tmp_path)])
     assert excinfo.value.code == 2
     assert "no ttlearn package" in capsys.readouterr().err
+
+
+def test_stated_command_counts_match_the_command_list():
+    tool = load_cli_digests()
+    readme = (ROOT / "README.md").read_text()
+    stated = [
+        re.search(r"fixed set of (\d+) ttlearn CLI commands", tool.__doc__),
+        re.search(r"cli_digests\.py \[--src DIR\]` runs a fixed set of (\d+)\s+CLI", readme),
+    ]
+    assert all(stated)
+    assert [int(match.group(1)) for match in stated] == [len(tool.COMMANDS)] * 2

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 29 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 30 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -106,6 +106,9 @@ COMMANDS = [
     # observation and every subproblem falls back from the exact move to ADMM
     ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--box-c", "0.3",
      "--rho", "4", "--lambda", "2", "--beta", "2"],
+    # a log penalty with gamma < 1, whose smooth part is convex only with s2'(0) = 0
+    ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--lambda", "2",
+     "--beta", "2", "--rho", "4", "--penalty", "log", "--gamma", "0.5", "--max-outer", "40"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
