@@ -26,19 +26,21 @@ class CompletionLoss:
 
     ``p`` is the sampling fraction |Ω|/(n1·n2·n3); the 1/p scaling makes the
     loss an unbiased estimate of the full squared error. Off-mask values of
-    ``y_obs`` are ignored (stored as zeros).
+    ``y_obs`` are ignored (stored as zeros). ``y_obs`` and ``mask`` are
+    stored C-ordered, the layout of the iterates they meet on every call.
     """
 
     def __init__(self, y_obs: np.ndarray, mask: np.ndarray):
         y = as_tensor3(y_obs)
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool, order="C")
         if mask.shape != y.shape:
             raise ValueError(f"mask shape {mask.shape} does not match tensor {y.shape}")
         n_obs = int(mask.sum())
         if n_obs == 0:
             raise ValueError("mask has no observed entries")
         self.mask = mask
-        self.y_obs = np.where(mask, y, 0.0)
+        self.y_obs = np.zeros(y.shape)
+        np.copyto(self.y_obs, y, where=mask)
         self.p = n_obs / mask.size
         self.shape = y.shape
 
@@ -64,7 +66,9 @@ class LogisticLoss:
 
     ``samples`` is a stack of n tensors sharing one shape; ``labels`` take
     values in {0, 1}. Evaluation is overflow-safe for large inner products
-    (log-sum-exp form).
+    (log-sum-exp form). The stack is stored C-ordered, so that the
+    ``(n, n1*n2*n3)`` matrix every value and gradient multiplies by is a view
+    of it rather than a fresh copy.
     """
 
     def __init__(self, samples, labels):
@@ -78,11 +82,14 @@ class LogisticLoss:
             raise ValueError("labels must be 0 or 1")
         if not np.all(np.isfinite(stack)):
             raise ValueError("samples contain non-finite entries")
-        self.samples = stack
+        # summed in the given samples' memory order, before the reordering copy:
+        # the last bit of the sum follows the order, and it reaches the trace
+        # through the descent threshold and margin
+        self._sum_sq = float(np.sum(stack * stack))
+        self.samples = np.ascontiguousarray(stack)
         self.labels = labels.astype(float)
         self.n = stack.shape[0]
         self.shape = stack.shape[1:]
-        self._sum_sq = float(np.sum(stack * stack))
 
     def value(self, x: np.ndarray) -> float:
         m = margins(self.samples, x)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,6 +192,32 @@ def objective_value(
     return value, inf_norm(x) <= cfg.box_c + FEASIBILITY_SLACK
 
 
+class SubproblemTerms(NamedTuple):
+    """The parts of :func:`kkt_residuals` fixed by one subproblem's ``x_t``.
+
+    ``slope`` is ``grad f(x_t) - beta * grad S2(x_t)``; the three norms are
+    ``||x_t||``, ``||grad f(x_t)|| / rho`` and ``beta * ||grad S2(x_t)|| / rho``,
+    the constant summands of ``eta_p``'s denominator.
+    """
+
+    slope: np.ndarray
+    norm_xt: float
+    grad_f_term: float
+    grad_s2_term: float
+
+
+def subproblem_terms(
+    xt: np.ndarray, grad_f_xt: np.ndarray, grad_s2_xt: np.ndarray, cfg: PMMConfig
+) -> SubproblemTerms:
+    """The :class:`SubproblemTerms` of the subproblem at ``xt``."""
+    return SubproblemTerms(
+        slope=grad_f_xt - cfg.beta * grad_s2_xt,
+        norm_xt=fro_norm(xt),
+        grad_f_term=fro_norm(grad_f_xt) / cfg.rho,
+        grad_s2_term=cfg.beta * fro_norm(grad_s2_xt) / cfg.rho,
+    )
+
+
 def kkt_residuals(
     x: np.ndarray,
     m: np.ndarray,
@@ -203,6 +230,7 @@ def kkt_residuals(
     cfg: PMMConfig,
     *,
     subgradient: np.ndarray | None = None,
+    terms: SubproblemTerms | None = None,
 ) -> KKTResiduals:
     """Relative KKT residuals of the split subproblem at ``(x, m, z)``.
 
@@ -210,22 +238,20 @@ def kkt_residuals(
     (``lam*k0`` is ``pen.slope``), which takes an SVD. Given a ``subgradient``
     ``w`` with ``m = svt(m + w, beta*lam*k0)``, it is ``||w - z||`` over the same
     denominator instead: ``svt`` is nonexpansive, so that bounds the exact
-    value from above without an SVD.
+    value from above without an SVD. ``terms`` are the subproblem's
+    :func:`subproblem_terms`, computed here when not given; an inner loop
+    passes them so that it computes them once.
     """
+    if terms is None:
+        terms = subproblem_terms(xt, grad_f_xt, grad_s2_xt, cfg)
     norm_m = fro_norm(m)
     norm_x = fro_norm(x)
     norm_z = fro_norm(z)
     eta_e = fro_norm(m - x) / (1 + norm_m + norm_x)
     rho = cfg.rho
-    stationarity_point = xt - (grad_f_xt - cfg.beta * grad_s2_xt + z) / rho
+    stationarity_point = xt - (terms.slope + z) / rho
     numerator = fro_norm(x - project_box(stationarity_point, cfg.box_c))
-    denominator = (
-        1
-        + norm_z / rho
-        + fro_norm(xt)
-        + fro_norm(grad_f_xt) / rho
-        + cfg.beta * fro_norm(grad_s2_xt) / rho
-    )
+    denominator = 1 + norm_z / rho + terms.norm_xt + terms.grad_f_term + terms.grad_s2_term
     eta_p = numerator / denominator
     gap = m - svt(m + z, cfg.beta * pen.slope, u) if subgradient is None else subgradient - z
     eta_d = fro_norm(gap) / (1 + norm_m + norm_z)
@@ -245,6 +271,7 @@ def admm_subproblem(
     hint: SubspaceHint | None = None,
     exact: bool = False,
     warm_error: float = 0.0,
+    terms: SubproblemTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
     """Solve one outer subproblem by two-block ADMM.
 
@@ -253,7 +280,9 @@ def admm_subproblem(
     final ``(x, m, z)``, the last KKT residuals, and the iteration count.
     The ``m``-update's ``svt``, with subspace hint ``hint``, is the only SVD
     of an iteration: its subgradient bounds ``eta_d`` (see
-    :func:`kkt_residuals`), so a stop also meets the exact residual.
+    :func:`kkt_residuals`), so a stop also meets the exact residual. Every
+    stop test shares one :func:`subproblem_terms` of ``xt``: ``terms`` when
+    given, else computed once here.
 
     With ``exact``, the first iteration is the exact move instead:
     ``y* = svt(v, beta*lam*k0/rho)`` with the same hint, and ``z* = rho (v - y*)``,
@@ -269,6 +298,8 @@ def admm_subproblem(
     eta, tau = admm_cfg.eta, admm_cfg.tau
     # constant part of the x-update numerator
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    if terms is None:
+        terms = subproblem_terms(xt, grad_f_xt, grad_s2_xt, pmm_cfg)
     first = 1
     if exact:
         v = drift / rho
@@ -279,7 +310,7 @@ def admm_subproblem(
         x = m if slack else project_box(m, c)
         if slack or admm_cfg.max_inner == 1:
             residuals = kkt_residuals(
-                x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z
+                x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z, terms=terms
             )
             return x, m, z, residuals, 1
         if warm is not None and fro_norm(x - m) > warm_error:
@@ -300,7 +331,7 @@ def admm_subproblem(
         x = project_box((drift + eta * m - z) / (rho + eta), c)
         z = z + tau * eta * (x - m)
         residuals = kkt_residuals(
-            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=w
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=w, terms=terms
         )
         if residuals.eta_res <= admm_cfg.tol_inner:
             break
@@ -319,9 +350,10 @@ def pmm_solve(
 
     The loop starts from ``x0`` projected onto the box, so that the first
     descent check compares two feasible points. Gradients of the loss and
-    of the smooth penalty part are evaluated once per outer iteration; the
-    inner solver is warm-started across iterations and keeps one
-    :class:`~ttlearn.penalties.SubspaceHint` for the solve.
+    of the smooth penalty part, and the :func:`subproblem_terms` that every
+    inner stop test and the descent rule share, are evaluated once per outer
+    iteration; the inner solver is warm-started across iterations and keeps
+    one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
     When ``rho`` clears the descent threshold, each subproblem starts with
     the exact move of :func:`admm_subproblem`, and an output ``y`` is
     accepted only when ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2``
@@ -364,13 +396,13 @@ def pmm_solve(
         grad_s2 = dc_smooth_grad(x, u, pen, factors)
         # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
         # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
-        slope = grad_f - pmm_cfg.beta * grad_s2
+        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
         nuclear = factors[1].sum()
         budget, inner, exact = admm_cfg, 0, descent_ok
         while True:
             x_new, m, z, residuals, steps = admm_subproblem(
                 x, grad_f, grad_s2, pen, u, pmm_cfg, budget, warm,
-                hint=hint, exact=exact, warm_error=step_norm,
+                hint=hint, exact=exact, warm_error=step_norm, terms=terms,
             )
             inner += steps
             warm = (m, x_new, z)
@@ -382,7 +414,7 @@ def pmm_solve(
                 factors = hint.factors
             else:
                 factors = slice_svd(x_new, u)
-            gain = np.vdot(slope, x_new - x) + weight * (factors[1].sum() - nuclear)
+            gain = np.vdot(terms.slope, x_new - x) + weight * (factors[1].sum() - nuclear)
             bound = (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK
             if not descent_ok or inner >= admm_cfg.max_inner or gain <= bound:
                 break

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
+from ttlearn.cli import _read_sample_stack, _write_sample_stack
 from ttlearn.losses import CompletionLoss, LogisticLoss, expit
+from ttlearn.tensor_io import read_tensor, write_tensor
 from ttlearn.tensor_ops import fro_norm
 
 
@@ -228,3 +230,61 @@ class TestLogisticLoss:
         loss = self.make_loss(rng)
         with pytest.raises(ValueError, match="shape mismatch"):
             loss.value(np.zeros((2, 2, 2)))
+
+
+class TestStorageLayout:
+    """Losses store their data C-ordered whatever the input's layout; results do not move."""
+
+    def test_completion_stores_file_inputs_c_ordered(self, tmp_path):
+        rng = np.random.default_rng(16)
+        shape = (5, 4, 3)
+        mask = rng.random(shape) < 0.6
+        mask.flat[0] = True
+        write_tensor(tmp_path / "y.tns", np.where(mask, rng.standard_normal(shape), 0.0))
+        write_tensor(tmp_path / "mask.tns", mask.astype(float))
+        y_f, mask_f = read_tensor(tmp_path / "y.tns"), read_tensor(tmp_path / "mask.tns")
+        assert y_f.flags.f_contiguous and not y_f.flags.c_contiguous
+        loss = CompletionLoss(y_f, mask_f)
+        assert loss.y_obs.flags.c_contiguous and loss.mask.flags.c_contiguous
+        np.testing.assert_array_equal(loss.y_obs, np.where(mask, y_f, 0.0))
+        np.testing.assert_array_equal(loss.mask, mask)
+        reference = CompletionLoss(np.ascontiguousarray(y_f), np.ascontiguousarray(mask_f))
+        for _ in range(5):
+            x = rng.standard_normal(shape)
+            assert loss.value(x) == reference.value(x)
+            assert np.array_equal(loss.grad(x), reference.grad(x))
+
+    @pytest.fixture
+    def cli_stack(self, tmp_path):
+        rng = np.random.default_rng(17)
+        samples = rng.standard_normal((40, 4, 3, 2))
+        labels = rng.integers(0, 2, size=40)
+        paths = str(tmp_path / "samples.tns"), str(tmp_path / "labels.txt")
+        _write_sample_stack(*paths, samples, labels)
+        return _read_sample_stack(*paths)
+
+    def test_logistic_stores_the_cli_stack_c_ordered(self, cli_stack):
+        samples, labels = cli_stack
+        assert not samples.flags.c_contiguous
+        loss = LogisticLoss(samples, labels)
+        assert loss.samples.flags.c_contiguous
+        np.testing.assert_array_equal(loss.samples, samples)
+        # the matrix every value and gradient multiplies by is a view, not a copy
+        assert np.shares_memory(loss.samples.reshape(loss.n, -1), loss.samples)
+
+    def test_logistic_results_match_a_c_ordered_copy_bit_for_bit(self, cli_stack):
+        samples, labels = cli_stack
+        loss = LogisticLoss(samples, labels)
+        reference = LogisticLoss(np.ascontiguousarray(samples), labels)
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            x = rng.standard_normal(loss.shape)
+            assert loss.value(x) == reference.value(x)
+            assert np.array_equal(loss.grad(x), reference.grad(x))
+
+    def test_logistic_sums_squares_in_the_given_layout(self, cli_stack):
+        # the sum's last bit follows memory order, and it reaches the solve
+        # trace through the descent threshold and margin
+        samples, labels = cli_stack
+        loss = LogisticLoss(samples, labels)
+        assert loss.lipschitz_constant() == float(np.sum(samples * samples)) / (4 * loss.n)

@@ -25,6 +25,7 @@ from ttlearn.solver import (
     kkt_residuals,
     objective_value,
     pmm_solve,
+    subproblem_terms,
 )
 from ttlearn.tasks import run_completion, synth_completion
 from ttlearn.transforms import dct_transform, identity_transform
@@ -227,9 +228,13 @@ class TestADMMSubproblem:
 
 def reference_admm_subproblem(
     xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *,
-    hint=None, exact=False, warm_error=0.0,
+    hint=None, exact=False, warm_error=0.0, terms=None,
 ):
-    """The ADMM inner loop written out, with the dual-residual bound inline."""
+    """The ADMM inner loop written out, with the dual-residual bound inline.
+
+    ``terms`` is accepted and ignored: each ``kkt_residuals`` call here
+    computes the subproblem's terms itself.
+    """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = admm_cfg.eta, admm_cfg.tau
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
@@ -390,6 +395,76 @@ class TestSubgradientKKTCheck:
         ref_x, ref_trace = pmm_solve(loss, MCP, u, cfg, admm, x0)
         assert np.array_equal(x, ref_x)
         assert trace.to_dict() == ref_trace.to_dict()
+
+
+class TestSubproblemTerms:
+    """The x_t-only parts of the KKT test are computed once per subproblem."""
+
+    @given(**SUBPROBLEMS)
+    def test_precomputed_terms_give_the_same_bits(self, **drawn):
+        xt, gf, gs2, pen, u, cfg, _, _ = subproblem_args(**drawn)
+        rng = np.random.default_rng(drawn["seed"] + 1)
+        x, m, z, w = (rng.standard_normal(xt.shape) for _ in range(4))
+        terms = subproblem_terms(xt, gf, gs2, cfg)
+        for subgradient in (None, w):
+            plain = kkt_residuals(x, m, z, xt, gf, gs2, pen, u, cfg, subgradient=subgradient)
+            given_terms = kkt_residuals(
+                x, m, z, xt, gf, gs2, pen, u, cfg, subgradient=subgradient, terms=terms
+            )
+            assert given_terms == plain
+
+    @pytest.mark.parametrize("box_c, exact, max_inner", [
+        (1e3, True, 30),  # the exact move, box slack
+        (0.3, True, 30),  # the exact move, then ADMM
+        (0.3, True, 1),  # the exact move, no ADMM budget left
+        (0.3, False, 30),  # ADMM only
+        (0.3, False, 1),
+    ])
+    def test_built_once_per_call(self, monkeypatch, box_c, exact, max_inner):
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(33)
+        xt, gf, gs2 = (rng.standard_normal((5, 4, 3)) for _ in range(3))
+        args = (xt, gf, gs2, MCP, dct_transform(3), PMMConfig(rho=3.0, beta=1.0, box_c=box_c),
+                ADMMConfig(tol_inner=1e-8, max_inner=max_inner))
+        out = admm_subproblem(*args, exact=exact)
+        assert (out[-1] == 1) == (box_c > 1 or max_inner == 1)
+        assert len(calls) == 1
+        # given terms, the call builds none and returns the same bits
+        given = admm_subproblem(*args, exact=exact, terms=subproblem_terms(*args[:3], args[5]))
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(given[:3], out[:3]))
+        assert given[3:] == out[3:]
+
+    def test_built_once_per_outer_step(self, monkeypatch):
+        # pmm_solve hands its own terms to every admm_subproblem call of the step
+        calls = self.count_calls(monkeypatch)
+        admm_calls = []
+        real_admm = solver.admm_subproblem
+
+        def recorded(*args, **kwargs):
+            admm_calls.append(kwargs["terms"])
+            return real_admm(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "admm_subproblem", recorded)
+        rng = np.random.default_rng(34)
+        y = rng.standard_normal((6, 6, 3))
+        mask = rng.random(y.shape) < 0.6
+        loss = CompletionLoss(np.where(mask, y, 0.0), mask)
+        cfg = PMMConfig(rho=6.0, beta=1.0, box_c=0.5, max_outer=15)
+        _, trace = pmm_solve(loss, MCP, dct_transform(3), cfg, ADMMConfig(tol_inner=3e-3), y)
+        assert len(calls) == len(trace.entries)
+        assert [id(t) for t in admm_calls] == [id(t) for t in calls]
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        real_terms, built = solver.subproblem_terms, []
+
+        def counted(*args, **kwargs):
+            built.append(real_terms(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(solver, "subproblem_terms", counted)
+        return built
 
 
 class TestExactMove:
