@@ -41,8 +41,6 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--tau", type=float)
     p.add_argument("--xi", type=float)
     p.add_argument("--box-c", dest="box_c", type=float)
     p.add_argument("--transform", choices=TRANSFORMS)

@@ -1,8 +1,9 @@
 """Experiment configuration: defaults, JSON loading, and validation.
 
 A config validates on construction. The ranges and defaults of the penalty
-and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``,
-whose rejection is reported under the JSON key; the task defaults and fixed
+and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``
+(the inner ADMM's weight and dual step are constants of ``solver``), whose
+rejection is reported under the JSON key; the task defaults and fixed
 transforms belong to ``tasks``. The experiment-only fields (task, transform,
 sampling and generator sizes, paths) are checked here. Every value is
 type-checked on load, so a bad value is rejected with its field name.
@@ -48,8 +49,6 @@ class ExperimentConfig:
     rho: float | None = None  # task default when None
     xi: float = PMMConfig.xi
     box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
-    eta: float = ADMMConfig.eta
-    tau: float = ADMMConfig.tau
     max_outer: int = PMMConfig.max_outer
     tol_outer: float = PMMConfig.tol_outer
     max_inner: int = ADMMConfig.max_inner
@@ -76,10 +75,7 @@ class ExperimentConfig:
         return _built(Penalty, kind=self.penalty, lam=self.lam, gamma=self.gamma)
 
     def build_admm(self) -> ADMMConfig:
-        return _built(
-            ADMMConfig,
-            eta=self.eta, tau=self.tau, max_inner=self.max_inner, tol_inner=self.tol_inner,
-        )
+        return _built(ADMMConfig, max_inner=self.max_inner, tol_inner=self.tol_inner)
 
     def __post_init__(self):
         if self.task not in TASKS:

@@ -22,6 +22,8 @@ from .tensor_ops import (
 )
 
 KINDS = ("mcp", "scad", "log", "convex")
+# the least float whose square overflows; Python's float ** raises OverflowError there
+SQUARE_LIMIT = 2.0**512
 
 
 class ParameterError(ValueError):
@@ -46,6 +48,8 @@ class Penalty:
     ``lam`` scales the penalty and the finite ``gamma`` its concavity: positive
     for ``mcp`` and ``log`` (``lam*log1p(x/gamma)``), above 1 for ``scad``, and
     unused by ``convex`` (plain ``lam*x``, the transformed-nuclear-norm baseline).
+    The closed forms need a finite ``lam**2`` (mcp, scad), or a finite
+    ``gamma**2`` and ``lam/gamma**2`` (log).
     """
 
     kind: str
@@ -63,6 +67,14 @@ class Penalty:
         if self.kind == "scad" and not self.gamma > 1:
             raise ParameterError("gamma", "must exceed 1 for scad")
         require_finite(lam=self.lam, gamma=self.gamma)
+        # s2 squares lam (mcp, scad) and mu squares gamma (log)
+        if self.kind in ("mcp", "scad") and not self.lam < SQUARE_LIMIT:
+            raise ParameterError("lam", f"must be below {SQUARE_LIMIT:.4g} for {self.kind}")
+        # a finite mu = lam/gamma**2 also bounds slope = lam/gamma, the solver's threshold
+        if self.kind == "log" and not (
+            self.gamma < SQUARE_LIMIT and self.gamma**2 > 0 and np.isfinite(self.mu)
+        ):
+            raise ParameterError("gamma", "must keep gamma**2 and lam/gamma**2 finite for log")
 
     @property
     def k0(self) -> float:

@@ -50,7 +50,12 @@ from .penalties import (
 from .tensor_ops import as_tensor3, fro_norm, inf_norm, project_box
 from .transforms import OrthogonalTransform
 
-GOLDEN_STEP_LIMIT = (1 + np.sqrt(5)) / 2
+# The inner ADMM's weight eta and dual step tau are constants: every documented
+# solve runs them, and a solve with rho below the descent threshold ends where
+# this damped ADMM leaves it. Two-block ADMM converges for any eta > 0 and tau
+# in (0, (1 + sqrt 5)/2), so tau must stay below the golden ratio.
+ADMM_ETA = 10.0
+ADMM_TAU = 1.618
 DESCENT_SLACK = 1e-9
 FEASIBILITY_SLACK = 1e-12
 
@@ -113,23 +118,16 @@ class PMMConfig:
 
 @dataclass(frozen=True)
 class ADMMConfig:
-    """Inner-loop parameters: augmented-Lagrangian weight, dual step scale, limits."""
+    """Inner stopping rule: ``max_inner`` steps or a relative KKT residual of ``tol_inner``."""
 
-    eta: float = 10.0
-    tau: float = 1.618
     max_inner: int = 100
     tol_inner: float = 3e-3
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ParameterError("eta", "must be positive")
-        if not 0 < self.tau < GOLDEN_STEP_LIMIT:
-            raise ParameterError("tau", f"must lie in (0, {GOLDEN_STEP_LIMIT:.9f})")
         if self.max_inner < 1:
             raise ParameterError("max_inner", "must be at least 1")
         if not self.tol_inner > 0:
             raise ParameterError("tol_inner", "must be positive")
-        require_finite(eta=self.eta)
 
 
 @dataclass(frozen=True)
@@ -273,18 +271,18 @@ def admm_subproblem(
     warm_error: float = 0.0,
     terms: SubproblemTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
-    """Solve one outer subproblem by two-block ADMM.
+    """Solve one outer subproblem by two-block ADMM with ``ADMM_ETA`` and ``ADMM_TAU``.
 
-    ``warm`` carries ``(m, x, z)`` from the previous outer iteration; the
-    default start is zeros for ``m`` and ``z`` with ``x = xt``. Returns the
-    final ``(x, m, z)``, the last KKT residuals, and the iteration count.
+    ADMM starts from a given ``warm = (m, x, z)``, by default zeros for ``m``
+    and ``z`` with ``x = xt``. Returns the final ``(x, m, z)``, the last KKT
+    residuals, and the iteration count.
     The ``m``-update's ``svt``, with subspace hint ``hint``, is the only SVD
     of an iteration: its subgradient bounds ``eta_d`` (see
     :func:`kkt_residuals`), so a stop also meets the exact residual. Every
     stop test shares one :func:`subproblem_terms` of ``xt``: ``terms`` when
     given, else computed once here.
 
-    With ``exact``, the first iteration is the exact move instead:
+    With ``exact``, it starts from the exact move instead, its first iteration:
     ``y* = svt(v, beta*lam*k0/rho)`` with the same hint, and ``z* = rho (v - y*)``,
     a subgradient with ``y* = svt(y* + z*, beta*lam*k0)``. When ``y*`` lies in
     the box the call returns ``(y*, y*, z*)``, one object for both primal
@@ -295,7 +293,6 @@ def admm_subproblem(
     the answer; then it continues from ``warm``.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
-    eta, tau = admm_cfg.eta, admm_cfg.tau
     # constant part of the x-update numerator
     drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     if terms is None:
@@ -313,16 +310,12 @@ def admm_subproblem(
                 x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z, terms=terms
             )
             return x, m, z, residuals, 1
-        if warm is not None and fro_norm(x - m) > warm_error:
-            m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
         first = 2
-    elif warm is None:
-        m = np.zeros_like(xt)
-        x = xt.copy()
-        z = np.zeros_like(xt)
-    else:
-        m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
+    if not exact or (warm is not None and fro_norm(x - m) > warm_error):
+        start = warm or (np.zeros_like(xt), xt, np.zeros_like(xt))
+        m, x, z = (np.asarray(w, dtype=float).copy() for w in start)
 
+    eta, tau = ADMM_ETA, ADMM_TAU
     threshold = beta * pen.slope / eta
     for iterations in range(first, admm_cfg.max_inner + 1):
         m = svt(x + z / eta, threshold, u, hint=hint)

@@ -75,8 +75,8 @@ CLASSIFICATION_SETUP = dict(
 
 # the tighter completion tolerance keeps the inexact subproblem solves within
 # the sufficient-descent margin checked by criterion 7
-ADMM_CFG_COMPLETION = ADMMConfig(eta=10.0, tau=1.618, max_inner=100, tol_inner=3e-4)
-ADMM_CFG_CLASSIFICATION = ADMMConfig(eta=10.0, tau=1.618, max_inner=100, tol_inner=1e-3)
+ADMM_CFG_COMPLETION = ADMMConfig(max_inner=100, tol_inner=3e-4)
+ADMM_CFG_CLASSIFICATION = ADMMConfig(max_inner=100, tol_inner=1e-3)
 
 
 def _pick_best(candidates):

@@ -352,7 +352,6 @@ def test_bad_grid_value_names_the_field(grid, named):
         ("--beta", "inf", "beta"),
         ("--lambda", "inf", "lambda"),
         ("--rho", "inf", "rho"),
-        ("--eta", "inf", "eta"),
     ],
 )
 def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monkeypatch, capsys):
@@ -363,6 +362,41 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
     args = ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "5", flag, value]
     assert run_cli(args) == 1
     assert f"config field '{named}': must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--eta", "5"), ("--tau", "1")])
+def test_removed_solver_flag_exits_one_naming_it(flag, value):
+    # the inner ADMM's weight and dual step are solver constants, not options
+    proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", flag, value])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"unrecognized arguments: {flag} {value}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["--lambda", "1e155"], "config field 'lambda': must be below 1.341e+154 for mcp"),
+        (["--penalty", "scad", "--gamma", "3.7", "--lambda", "1e155"],
+         "config field 'lambda': must be below 1.341e+154 for scad"),
+        (["--lambda-grid", "1,1e155"], "config field 'lambda': must be below 1.341e+154 for mcp"),
+        (["--penalty", "log", "--gamma", "1e155"],
+         "config field 'gamma': must keep gamma**2 and lam/gamma**2 finite for log"),
+        (["--penalty", "log", "--gamma", "1e-300", "--lambda", "1e10"],
+         "config field 'gamma': must keep gamma**2 and lam/gamma**2 finite for log"),
+    ],
+)
+def test_overflowing_penalty_parameter_exits_one_without_traceback(args, named, tmp_path):
+    # the penalty's closed forms would overflow a Python float: rejected before any solve
+    out = tmp_path / "out.json"
+    proc = run_cli_process(
+        ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "3", *args,
+         "--results", str(out)]
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -478,9 +512,9 @@ def test_zero_test_count_means_no_test_split(tmp_path, recwarn):
 
 SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]
 CONFIG_KEYS = [
-    "task", "penalty", "gamma", "transform", "beta", "rho", "xi", "box_c", "eta", "tau",
-    "max_outer", "tol_outer", "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train",
-    "n_test", "rank", "dims", "pilot_max_outer", "paths", "lambda",
+    "task", "penalty", "gamma", "transform", "beta", "rho", "xi", "box_c", "max_outer",
+    "tol_outer", "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train", "n_test",
+    "rank", "dims", "pilot_max_outer", "paths", "lambda",
 ]
 TRACE_KEYS = [
     "initial_objective", "outer_iterations", "converged", "descent_checked",

@@ -20,8 +20,6 @@ def test_empty_config_gets_full_default_set(tmp_path):
     assert cfg.penalty == "mcp"
     assert cfg.gamma == 2.7
     assert cfg.resolved_rho() == 10.0
-    assert cfg.eta == 10.0
-    assert cfg.tau == 1.618
     assert cfg.max_outer == 100 and cfg.tol_outer == 5e-4
     assert cfg.max_inner == 100 and cfg.tol_inner == 3e-3
     assert cfg.resolved_box_c() is None  # derived from data at run time
@@ -39,9 +37,13 @@ def test_lambda_alias(tmp_path):
     assert cfg.echo()["lambda"] == 0.7
 
 
-def test_tau_above_golden_limit_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="tau"):
-        load_config(write_config(tmp_path, {"tau": 2.0}), task="complete")
+@pytest.mark.parametrize("field", ["eta", "tau"])
+def test_removed_admm_fields_are_unknown(field, tmp_path):
+    # the inner ADMM's weight and dual step are solver constants, not options
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(write_config(tmp_path, {field: 2.0}), task="complete")
+    assert excinfo.value.fieldname == field
+    assert str(excinfo.value) == f"config field {field!r}: unknown field"
 
 
 def test_xi_out_of_range_rejected(tmp_path):
@@ -77,7 +79,7 @@ def test_invalid_json(tmp_path):
         ("transform", "fourier"),
         ("beta", -0.5),
         ("rho", 0.0),
-        ("eta", 0.0),
+        ("n_test", -1),
         ("max_inner", 0),
         ("tol_outer", 0.0),
         ("sigma", -1.0),
@@ -98,7 +100,7 @@ def test_range_violations(field, value, tmp_path):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
-@pytest.mark.parametrize("field", ["lambda", "beta", "rho", "eta"])
+@pytest.mark.parametrize("field", ["lambda", "beta", "rho"])
 def test_non_finite_solver_parameters_rejected(field, literal, tmp_path):
     # json.load accepts both literals; NaN already fails the positivity checks
     path = tmp_path / "config.json"
@@ -124,8 +126,8 @@ def test_non_finite_gamma_and_sigma_rejected(field, reason, literal, tmp_path):
 
 def test_delegated_range_messages():
     with pytest.raises(ConfigError) as excinfo:
-        config_from_dict({"task": "complete", "tau": 2.0})
-    assert str(excinfo.value) == "config field 'tau': must lie in (0, 1.618033989)"
+        config_from_dict({"task": "complete", "xi": 0.7})
+    assert str(excinfo.value) == "config field 'xi': must lie in (0, 1/2)"
     with pytest.raises(ValueError) as excinfo:
         Penalty("mcp", lam=0.0)
     assert str(excinfo.value) == "lam must be positive"

@@ -73,6 +73,40 @@ class TestParamValidation:
             Penalty(kind, lam=1.0, gamma=gamma)
         assert excinfo.value.name == "gamma"
 
+    @pytest.mark.parametrize(
+        "kind,lam,gamma,name",
+        [
+            ("mcp", penalties.SQUARE_LIMIT, 2.7, "lam"),
+            ("mcp", 1e155, 1e-3, "lam"),
+            ("scad", penalties.SQUARE_LIMIT, 3.7, "lam"),
+            ("log", 1.0, penalties.SQUARE_LIMIT, "gamma"),
+            ("log", 1e10, 1e-300, "gamma"),  # lam/gamma overflows
+            ("log", 1.0, 1e-170, "gamma"),  # gamma**2 underflows to 0
+        ],
+    )
+    def test_overflowing_closed_forms_rejected(self, kind, lam, gamma, name):
+        # s2 squares lam and mu squares gamma on Python floats, where ** raises
+        with pytest.raises(penalties.ParameterError) as excinfo:
+            Penalty(kind, lam=lam, gamma=gamma)
+        assert excinfo.value.name == name
+
+    @pytest.mark.parametrize(
+        "kind,lam,gamma",
+        [
+            ("mcp", np.nextafter(penalties.SQUARE_LIMIT, 0), 2.7),
+            ("scad", np.nextafter(penalties.SQUARE_LIMIT, 0), 3.7),
+            ("log", 1.0, np.nextafter(penalties.SQUARE_LIMIT, 0)),
+            ("log", 1.0, 1e-150),
+            ("convex", 1e300, 0.0),
+        ],
+    )
+    def test_largest_accepted_parameters_evaluate(self, kind, lam, gamma):
+        pen = Penalty(kind, lam=float(lam), gamma=float(gamma))
+        x = np.array([0.0, 1.0])
+        assert np.isfinite(pen.slope) and np.isfinite(pen.mu)
+        for values in (pen.s2(x), pen.s2_prime(x), pen.g(x)):
+            assert np.all(np.isfinite(values))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             Penalty("lasso", lam=1.0)

@@ -51,6 +51,7 @@ def test_against_reports_each_differing_result_field():
         "ranks": [1, 2, 3],
         "added": None,
     }
+    old = {**old, "removed": {"nested": 1.0}}
     theirs = [(1, ["complete"], ["exit 0", "result r1", "stdout s"], old),
               (2, ["metrics"], ["exit 0", "result r3", "stdout s"], old)]
     ours = [(1, ["complete"], ["exit 0", "result r2", "stdout s"], new),
@@ -65,7 +66,8 @@ def test_against_reports_each_differing_result_field():
         "  ~ trace.entries[*].objective 8.9e-16",
         "  ~ trace.entries[*].feasible DIFF",
         "  ~ ranks DIFF",
-        "  ~ added DIFF",
+        "  ~ removed REMOVED",
+        "  ~ added ADDED",
         # a differing command with equal results gets no field lines
         "[02] ttlearn metrics",
         "  - stdout s",

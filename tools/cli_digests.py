@@ -20,7 +20,8 @@ any does, 0 if the two trees give byte-identical results, files and
 messages. Under a command whose ``result`` line differs and for which both
 trees wrote a result JSON, one ``~`` line per differing JSON path (list
 indices shown as ``[*]``) gives the largest relative difference at that
-path, or ``DIFF`` for a non-numeric change.
+path, ``DIFF`` for a non-numeric change, or ``ADDED`` or ``REMOVED`` for a
+path that only the ``DIR`` or only the ``OTHER_SRC`` result has.
 """
 from __future__ import annotations
 
@@ -191,7 +192,9 @@ def _finite_number(value) -> bool:
 def field_differences(new, old, path: str = "", found: dict | None = None) -> dict:
     """Largest relative difference per JSON path of two results, ``"DIFF"`` if not numeric.
 
-    List indices collapse to ``[*]``; equal values and paths are left out.
+    A key that only ``new`` has is ``"ADDED"``, one that only ``old`` has
+    ``"REMOVED"``. List indices collapse to ``[*]``; equal values and paths
+    are left out.
     """
     found = {} if found is None else found
     if isinstance(new, dict) and isinstance(old, dict):
@@ -200,7 +203,7 @@ def field_differences(new, old, path: str = "", found: dict | None = None) -> di
             if key in new and key in old:
                 field_differences(new[key], old[key], child, found)
             else:
-                found[child] = "DIFF"
+                found[child] = "ADDED" if key in new else "REMOVED"
     elif isinstance(new, list) and isinstance(old, list):
         if len(new) != len(old):
             found[path] = "DIFF"
@@ -210,7 +213,7 @@ def field_differences(new, old, path: str = "", found: dict | None = None) -> di
         if new != old:
             previous = found.get(path, 0.0)
             rel = abs(new - old) / max(abs(new), abs(old))
-            found[path] = previous if previous == "DIFF" else max(previous, rel)
+            found[path] = previous if isinstance(previous, str) else max(previous, rel)
     elif json.dumps(new) != json.dumps(old):
         found[path] = "DIFF"
     return found
@@ -235,7 +238,7 @@ def differences(ours, theirs) -> tuple[list[str], int]:
         report += [f"  + {line}" for line in new if line not in old]
         if new_json and old_json and None not in (new_json[0], old_json[0]):
             for path, diff in field_differences(new_json[0], old_json[0]).items():
-                report.append(f"  ~ {path} {diff}" if diff == "DIFF" else f"  ~ {path} {diff:.1e}")
+                report.append(f"  ~ {path} {diff}" if isinstance(diff, str) else f"  ~ {path} {diff:.1e}")
     return report, differ
 
 
