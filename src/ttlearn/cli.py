@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--transform", choices=tasks.FIXED_TRANSFORMS, default="dct")
     p.add_argument("--pilot", help="derive a data-driven transform from this TNS1 file instead")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=top.RANK_TOL)
     p.add_argument("--results", help="path for the JSON output (default: stdout)")
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between two tensor files")

@@ -11,6 +11,7 @@ type-checked on load, so a bad value is rejected with its field name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .penalties import ParameterError, Penalty
@@ -80,7 +81,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}")
-        self.build_penalty()
+        pen = self.build_penalty()
         if self.transform not in TRANSFORMS:
             raise ConfigError("transform", f"must be one of {TRANSFORMS}")
         # an unset box_c is derived from the data at run time; any positive
@@ -94,6 +95,9 @@ class ExperimentConfig:
             max_outer=self.max_outer,
             tol_outer=self.tol_outer,
         )
+        # the solver's nuclear-norm weight; neither Penalty nor PMMConfig sees the product
+        if not math.isfinite(self.beta * pen.slope):
+            raise ConfigError("beta", "must keep beta*lambda*k0 finite")
         self.build_admm()
         if not 0 < self.sr <= 1:
             raise ConfigError("sr", "must lie in (0, 1]")

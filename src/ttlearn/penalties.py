@@ -48,8 +48,8 @@ class Penalty:
     ``lam`` scales the penalty and the finite ``gamma`` its concavity: positive
     for ``mcp`` and ``log`` (``lam*log1p(x/gamma)``), above 1 for ``scad``, and
     unused by ``convex`` (plain ``lam*x``, the transformed-nuclear-norm baseline).
-    The closed forms need a finite ``lam**2`` (mcp, scad), or a finite
-    ``gamma**2`` and ``lam/gamma**2`` (log).
+    The closed forms need a finite ``lam**2`` (mcp, scad), a finite
+    ``1/gamma`` (mcp), or a finite ``gamma**2`` and ``lam/gamma**2`` (log).
     """
 
     kind: str
@@ -70,6 +70,9 @@ class Penalty:
         # s2 squares lam (mcp, scad) and mu squares gamma (log)
         if self.kind in ("mcp", "scad") and not self.lam < SQUARE_LIMIT:
             raise ParameterError("lam", f"must be below {SQUARE_LIMIT:.4g} for {self.kind}")
+        # mcp's s2 and s2' divide by gamma: its mu = 1/gamma overflows for a subnormal gamma
+        if self.kind == "mcp" and not np.isfinite(self.mu):
+            raise ParameterError("gamma", "must keep 1/gamma finite for mcp")
         # a finite mu = lam/gamma**2 also bounds slope = lam/gamma, the solver's threshold
         if self.kind == "log" and not (
             self.gamma < SQUARE_LIMIT and self.gamma**2 > 0 and np.isfinite(self.mu)

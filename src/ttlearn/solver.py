@@ -20,12 +20,15 @@ stops on the relative step norm.
 When ``rho`` clears the descent threshold, each subproblem starts with the
 exact move: without the box its minimizer is one thresholding,
 ``y* = svt(v, beta*lam*k0/rho)``, so when ``|y*|_inf <= c`` it is the answer,
-with multiplier ``z* = rho (v - y*)``. That step counts as one inner
-iteration; when the box binds, the move counts as one and ADMM follows, so
-with ``max_inner > 1`` a descent-checked trace entry with
-``inner_iterations == 1`` is an exact step. The fallback ADMM starts from
-``(m, x, z) = (y*, project_box(y*), z*)``, unless the box moves ``y*`` by
-more than the last outer step moved the iterate; then the previous
+with multiplier ``z* = rho (v - y*)``. When the box binds, the projected move
+``(m, x, z) = (y*, project_box(y*), z*)``, the first iterate of Dykstra's
+algorithm for the prox of the sum, has ``eta_d`` and ``eta_p`` zero up to
+rounding and ``eta_e`` equal to the box's relative move; it is the answer
+when that meets ``tol_inner``. Either way the move counts as one inner
+iteration, so with ``max_inner > 1`` a descent-checked trace entry with
+``inner_iterations == 1`` is an exact step or an accepted projected move.
+Otherwise ADMM follows from the projected move, unless the box moves ``y*``
+by more than the last outer step moved the iterate; then the previous
 subproblem's solution is the nearer start and ADMM warm-starts from it. The
 solve starts from ``x0`` projected onto the box.
 """
@@ -47,7 +50,7 @@ from .penalties import (
     slice_svd,
     svt,
 )
-from .tensor_ops import as_tensor3, fro_norm, inf_norm, project_box
+from .tensor_ops import as_tensor3, fro_norm, inf_norm, project_box, rank_counts
 from .transforms import OrthogonalTransform
 
 # The inner ADMM's weight eta and dual step tau are constants: every documented
@@ -157,11 +160,18 @@ class TraceEntry:
 
 @dataclass
 class SolveTrace:
+    """Record of one solve.
+
+    ``multi_rank`` is the final iterate's per-slice rank, counted from the
+    factors the solve holds; :meth:`to_dict` leaves it out.
+    """
+
     initial_objective: float
     entries: list[TraceEntry] = field(default_factory=list)
     converged: bool = False
     descent_checked: bool = False
     descent_margin: float = 0.0
+    multi_rank: list[int] = field(default_factory=list)
 
     def objectives(self) -> list[float]:
         return [self.initial_objective] + [e.objective for e in self.entries]
@@ -286,10 +296,13 @@ def admm_subproblem(
     ``y* = svt(v, beta*lam*k0/rho)`` with the same hint, and ``z* = rho (v - y*)``,
     a subgradient with ``y* = svt(y* + z*, beta*lam*k0)``. When ``y*`` lies in
     the box the call returns ``(y*, y*, z*)``, one object for both primal
-    blocks, after that one iteration. Otherwise ADMM continues from
-    ``(y*, project_box(y*), z*)``, whose error is at least the box's move
-    ``||y* - project_box(y*)||``, unless ``warm`` is given and that move
-    exceeds ``warm_error``, an estimate of the warm start's distance from
+    blocks, after that one iteration. Otherwise the move is
+    ``(project_box(y*), y*, z*)``: its ``eta_d`` and ``eta_p`` are zero up to
+    rounding and ``eta_e`` is the box's relative move, so the call returns it
+    after the one iteration when that meets ``tol_inner`` (or ``max_inner`` is
+    1). Otherwise ADMM continues from the move, whose error is at least the
+    box's move ``||y* - project_box(y*)||``, unless ``warm`` is given and that
+    move exceeds ``warm_error``, an estimate of the warm start's distance from
     the answer; then it continues from ``warm``.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
@@ -305,10 +318,10 @@ def admm_subproblem(
         slack = inf_norm(m) <= c
         # (y*, z*) fixes the x-update at project_box(y*)
         x = m if slack else project_box(m, c)
-        if slack or admm_cfg.max_inner == 1:
-            residuals = kkt_residuals(
-                x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z, terms=terms
-            )
+        residuals = kkt_residuals(
+            x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z, terms=terms
+        )
+        if slack or admm_cfg.max_inner == 1 or residuals.eta_res <= admm_cfg.tol_inner:
             return x, m, z, residuals, 1
         first = 2
     if not exact or (warm is not None and fro_norm(x - m) > warm_error):
@@ -438,4 +451,5 @@ def pmm_solve(
         if rel_step <= pmm_cfg.tol_outer:
             trace.converged = True
             break
+    trace.multi_rank = rank_counts(factors[1]).tolist()
     return x, trace

@@ -214,7 +214,7 @@ def _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0):
         "transform": transform.kind,
         "final_objective": trace.objectives()[-1],
         "final_norm": top.fro_norm(x),
-        "multi_rank": top.multi_rank(x, transform).tolist(),
+        "multi_rank": trace.multi_rank,
         "trace": trace.to_dict(),
     }
 

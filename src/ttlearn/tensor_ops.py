@@ -173,12 +173,19 @@ def spectral_norm(x: np.ndarray, u: OrthogonalTransform) -> float:
     return float(transformed_singular_values(x, u).max())
 
 
-def multi_rank(x: np.ndarray, u: OrthogonalTransform, tol: float = 1e-10) -> np.ndarray:
+RANK_TOL = 1e-10
+
+
+def rank_counts(sigma: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Per row of ``sigma``, the count of values above ``tol`` times the largest of all rows."""
+    return (sigma > tol * sigma.max()).sum(axis=1)
+
+
+def multi_rank(x: np.ndarray, u: OrthogonalTransform, tol: float = RANK_TOL) -> np.ndarray:
     """Per-slice ranks: counts of singular values above ``tol`` times the largest one."""
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and nonnegative")
-    sigma = transformed_singular_values(x, u)
-    return (sigma > tol * sigma.max()).sum(axis=1)
+    return rank_counts(transformed_singular_values(x, u), tol)
 
 
 def project_box(x: np.ndarray, c: float) -> np.ndarray:

@@ -384,10 +384,18 @@ def test_removed_solver_flag_exits_one_naming_it(flag, value):
          "config field 'gamma': must keep gamma**2 and lam/gamma**2 finite for log"),
         (["--penalty", "log", "--gamma", "1e-300", "--lambda", "1e10"],
          "config field 'gamma': must keep gamma**2 and lam/gamma**2 finite for log"),
+        (["--gamma", "1e-320"], "config field 'gamma': must keep 1/gamma finite for mcp"),
+        (["--lambda", "1e154", "--beta", "1e200"],
+         "config field 'beta': must keep beta*lambda*k0 finite"),
+        (["--penalty", "convex", "--lambda", "1e300", "--beta", "1e10"],
+         "config field 'beta': must keep beta*lambda*k0 finite"),
+        (["--lambda-grid", "1,1e150", "--beta", "1e200"],
+         "config field 'beta': must keep beta*lambda*k0 finite"),
     ],
 )
 def test_overflowing_penalty_parameter_exits_one_without_traceback(args, named, tmp_path):
-    # the penalty's closed forms would overflow a Python float: rejected before any solve
+    # the penalty's closed forms or the solver's weight beta*lam*k0 would overflow a
+    # float: rejected before any solve
     out = tmp_path / "out.json"
     proc = run_cli_process(
         ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "3", *args,

@@ -124,6 +124,23 @@ def test_non_finite_gamma_and_sigma_rejected(field, reason, literal, tmp_path):
     assert str(excinfo.value) == f"config field {field!r}: {reason}"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"lambda": 1e154, "beta": 1e200},
+        {"penalty": "convex", "lambda": 1e300, "beta": 1e10},
+        {"penalty": "log", "gamma": 1e-10, "lambda": 1e150, "beta": 1e160},  # slope lam/gamma
+    ],
+)
+def test_overflowing_nuclear_norm_weight_rejected(payload):
+    # each factor is finite and in range; the solver's weight beta*lam*k0 is not
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict({"task": "complete", **payload})
+    assert str(excinfo.value) == "config field 'beta': must keep beta*lambda*k0 finite"
+    finite = {**payload, "beta": 1.0}
+    assert config_from_dict({"task": "complete", **finite}).beta == 1.0
+
+
 def test_delegated_range_messages():
     with pytest.raises(ConfigError) as excinfo:
         config_from_dict({"task": "complete", "xi": 0.7})

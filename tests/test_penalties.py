@@ -82,6 +82,8 @@ class TestParamValidation:
             ("log", 1.0, penalties.SQUARE_LIMIT, "gamma"),
             ("log", 1e10, 1e-300, "gamma"),  # lam/gamma overflows
             ("log", 1.0, 1e-170, "gamma"),  # gamma**2 underflows to 0
+            ("mcp", 1.0, 1e-320, "gamma"),  # subnormal: 1/gamma overflows
+            ("mcp", 1.0, 5e-324, "gamma"),
         ],
     )
     def test_overflowing_closed_forms_rejected(self, kind, lam, gamma, name):
@@ -97,6 +99,7 @@ class TestParamValidation:
             ("scad", np.nextafter(penalties.SQUARE_LIMIT, 0), 3.7),
             ("log", 1.0, np.nextafter(penalties.SQUARE_LIMIT, 0)),
             ("log", 1.0, 1e-150),
+            ("mcp", 1.0, 1e-300),
             ("convex", 1e300, 0.0),
         ],
     )

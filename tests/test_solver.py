@@ -240,12 +240,12 @@ def reference_admm_subproblem(
         z = rho * (v - m)
         x = m if top.inf_norm(m) <= c else top.project_box(m, c)
         iterations = 1
-        if x is m or admm_cfg.max_inner == 1:
-            # z is m's own subgradient, so eta_d is 0
-            residuals = dataclasses.replace(
-                kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z),
-                eta_d=0.0,
-            )
+        # z is m's own subgradient, so eta_d is 0
+        residuals = dataclasses.replace(
+            kkt_residuals(x, m, z, xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, subgradient=z),
+            eta_d=0.0,
+        )
+        if x is m or admm_cfg.max_inner == 1 or residuals.eta_res <= admm_cfg.tol_inner:
             return x, m, z, residuals, iterations
         if warm is not None and top.fro_norm(x - m) > warm_error:
             m, x, z = (np.asarray(w, dtype=float).copy() for w in warm)
@@ -334,6 +334,15 @@ class TestSubgradientKKTCheck:
         assert iters == ref_iters
         assert res.eta_res == ref_res.eta_res
         assert res == ref_res
+
+    @given(**SUBPROBLEMS, warm_error=st.sampled_from([0.0, 0.1, np.inf]))
+    def test_exact_start_matches_reference_loop(self, warm_error, **drawn):
+        # slack and binding moves, accepted or continued by ADMM, on either start
+        args = subproblem_args(**drawn)
+        out = admm_subproblem(*args, exact=True, warm_error=warm_error)
+        ref = reference_admm_subproblem(*args, exact=True, warm_error=warm_error)
+        assert all(np.array_equal(a, b) for a, b in zip(out[:3], ref[:3]))
+        assert out[3:] == ref[3:]
 
     @given(**SUBPROBLEMS)
     def test_returned_residuals_match_a_standalone_call_with_the_subgradient(self, **drawn):
@@ -516,7 +525,10 @@ class TestExactMove:
         np.testing.assert_array_equal(x0, top.project_box(m0, cfg.box_c))
         np.testing.assert_allclose(z0, cfg.rho * (v - ystar), rtol=0, atol=1e-12)
         assert res == kkt_residuals(x0, m0, z0, *args, subgradient=z0)
-        # otherwise it runs plain ADMM from there: one svt more than ADMM alone
+        # the box's move fails the default stop test, so with budget left ADMM
+        # runs plain from there, as before the move was tested: one svt more
+        # than ADMM alone
+        assert res.eta_res > ADMMConfig().tol_inner
         for steps in (1, 3, 30):
             *out, iters = admm_subproblem(*args, ADMMConfig(max_inner=steps + 1), exact=True)
             *ref, ref_iters = admm_subproblem(
@@ -525,6 +537,33 @@ class TestExactMove:
             assert iters == ref_iters + 1
             for a, b in zip(out, ref):
                 assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    def test_binding_move_within_tol_inner_is_accepted_after_one_iteration(self):
+        # a box just inside y*'s peak: the projected move (project_box(y*), y*, z*)
+        # is the first Dykstra iterate, with eta_d and eta_p 0 up to rounding
+        # and eta_e the box's small relative move
+        args, warm = self.binding_subproblem()
+        xt, gf, gs2, pen, u, cfg = args
+        v = xt - (gf - cfg.beta * gs2) / cfg.rho
+        ystar = svt(v, cfg.beta * pen.lam / cfg.rho, u)
+        cfg = dataclasses.replace(cfg, box_c=0.999 * top.inf_norm(ystar))
+        args = (*args[:5], cfg)
+        admm = ADMMConfig(max_inner=30)
+        x, m, z, res, iters = admm_subproblem(*args, admm, warm=warm, exact=True)
+        assert iters == 1 and x is not m
+        np.testing.assert_allclose(m, ystar, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(x, top.project_box(m, cfg.box_c))
+        np.testing.assert_allclose(z, cfg.rho * (v - ystar), rtol=0, atol=1e-12)
+        assert res.eta_d == 0 and res.eta_p <= 1e-15
+        assert 0 < res.eta_e == res.eta_res <= admm.tol_inner
+        # the same bits as the call with no ADMM budget
+        *first, first_iters = admm_subproblem(*args, ADMMConfig(max_inner=1), exact=True)
+        assert first_iters == 1 and first[3] == res
+        assert all(np.array_equal(a, b) for a, b in zip(first[:3], (x, m, z)))
+        # the SVD-free residual does not understate the exact one
+        exact = kkt_residuals(x, m, z, *args)
+        assert (exact.eta_e, exact.eta_p) == (res.eta_e, res.eta_p)
+        assert res.eta_res >= exact.eta_res
 
     def test_fallback_keeps_a_warm_start_nearer_than_the_box_move(self):
         args, warm = self.binding_subproblem()
@@ -581,6 +620,7 @@ class TestPMMSolve:
         np.testing.assert_array_equal(x, x0)
         assert trace.entries == []
         assert not trace.converged
+        assert trace.multi_rank == top.multi_rank(x0, dct_transform(2)).tolist()
 
     def test_objective_monotone_and_feasible(self):
         rng = np.random.default_rng(9)
@@ -742,6 +782,49 @@ class TestPMMSolve:
         assert resumed > 0
         a = trace.descent_margin
         objectives = trace.objectives()
+        for t, entry in enumerate(trace.entries):
+            assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + DESCENT_SLACK
+
+    def test_binding_steps_accepted_at_the_projected_move_cost_one_svt(self, monkeypatch):
+        # a box just inside the observed peak binds at most steps; where the
+        # projected exact move meets tol_inner and the descent rule, the step
+        # makes one svt (the move) and one slice_svd (the new iterate's factors)
+        u = dct_transform(2)
+        _, y_obs, mask = synth_completion((8, 8, 2), 1, 0.6, 0.01, u, seed=2)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=2.0, gamma=2.7)
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=0.95 * top.inf_norm(y_obs), max_outer=30)
+        real_subproblem, real_svt = solver.admm_subproblem, solver.svt
+        real_slice_svd, steps = solver.slice_svd, []
+
+        def recorded(xt, *args, **kwargs):
+            if not steps or steps[-1]["xt"] is not xt:
+                steps.append({"xt": xt, "calls": [], "svt": 0, "slice_svd": 0})
+            out = real_subproblem(xt, *args, **kwargs)
+            steps[-1]["calls"].append((kwargs["exact"], out[0] is out[1], out[-1]))
+            return out
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                if steps:  # x0's factorization precedes every step
+                    steps[-1][name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(solver, "admm_subproblem", recorded)
+        monkeypatch.setattr(solver, "svt", counted("svt", real_svt))
+        monkeypatch.setattr(solver, "slice_svd", counted("slice_svd", real_slice_svd))
+        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(), y_obs)
+        assert trace.descent_checked and len(steps) == len(trace.entries)
+        accepted = 0
+        for step, entry in zip(steps, trace.entries):
+            # one exact call that returned the projected x, not m itself
+            if step["calls"] == [(True, False, 1)]:
+                accepted += 1
+                assert entry.inner_iterations == 1
+                assert (step["svt"], step["slice_svd"]) == (1, 1)
+        assert accepted > 10
+        a, objectives = trace.descent_margin, trace.objectives()
         for t, entry in enumerate(trace.entries):
             assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + DESCENT_SLACK
 
@@ -913,6 +996,16 @@ class TestTruncatedSVTInSolve:
         a, objectives = trace.descent_margin, trace.objectives()
         for t, entry in enumerate(trace.entries):
             assert objectives[t + 1] + a * entry.step_norm**2 - objectives[t] <= 1e-9
+
+    @pytest.mark.parametrize("kind, gamma, box_c", [("mcp", 2.7, 4.0), ("log", 2.0, 10.0)])
+    def test_trace_multi_rank_matches_a_fresh_count(self, problem, kind, gamma, box_c):
+        # ADMM returns (box 4 binds) and exact steps with truncated factors (log)
+        loss, _, u, cfg, admm = problem
+        pen = Penalty(kind, lam=12.0, gamma=gamma)
+        cfg = dataclasses.replace(cfg, box_c=box_c, max_outer=20)
+        x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert trace.multi_rank == top.multi_rank(x, u).tolist()
+        assert "multi_rank" not in trace.to_dict()
 
     def test_repeated_solves_are_identical(self, problem):
         loss, pen, u, cfg, admm = problem

@@ -2,17 +2,21 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "tools" / "cli_digests.py"
 
 
-def load_cli_digests():
-    spec = importlib.util.spec_from_file_location("cli_digests", SCRIPT)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_cli_digests():
+    return load_tool("cli_digests")
 
 
 def test_against_reports_only_the_commands_that_differ():
@@ -106,3 +110,38 @@ def test_stated_command_counts_match_the_command_list():
     ]
     assert all(stated)
     assert [int(match.group(1)) for match in stated] == [len(tool.COMMANDS)] * 2
+
+
+def test_svd_census_lines_sum_to_totals_that_match_an_independent_count(
+    tmp_path, monkeypatch, capsys
+):
+    real_svd, seen = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    # installed first, so the census wraps this counter
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    results = tmp_path / "r.json"
+    argv = ["complete", "--synthetic", "--dims", "6x6x2", "--rank", "1", "--box-c", "0.3",
+            "--rho", "4", "--max-outer", "4", "--transform", "data", "--results", str(results)]
+    assert load_tool("svd_census").main(argv) == 0
+    assert results.is_file()
+    assert np.linalg.svd is counted
+    lines = capsys.readouterr().out.splitlines()
+    header, *rows, total = lines
+    assert header.split() == ["calls", "slices", "caller", "shape"]
+    parsed = [
+        (int(calls), int(slices), caller) for calls, slices, caller, *_ in map(str.split, rows)
+    ]
+    # the data transform's own SVD is charged apart from the solver's
+    assert {caller for *_, caller in parsed} == {
+        "penalties.slice_svd", "transforms.data_driven_transform"
+    }
+    calls, slices, name = total.split()
+    assert name == "total"
+    assert int(calls) == sum(row[0] for row in parsed) == len(seen)
+    assert int(slices) == sum(row[1] for row in parsed) == sum(
+        int(np.prod(shape[:-2])) for shape in seen
+    )
