@@ -121,7 +121,11 @@ class Penalty:
         if self.kind == "convex":
             return np.zeros_like(x)
         if self.kind == "mcp":
-            return np.where(x <= gamma * lam, x**2 / (2 * gamma), lam * x - gamma * lam**2 / 2)
+            # np.where evaluates both branches: clip the quadratic one at its
+            # end, so that x/gamma cannot overflow where it is discarded
+            knee = gamma * lam
+            xq = np.minimum(x, knee)
+            return np.where(x <= knee, xq**2 / (2 * gamma), lam * x - gamma * lam**2 / 2)
         if self.kind == "scad":
             return np.select(
                 [x < lam, x < gamma * lam],
@@ -136,7 +140,8 @@ class Penalty:
         if self.kind == "convex":
             return np.zeros_like(x)
         if self.kind == "mcp":
-            return np.where(x <= gamma * lam, x / gamma, lam)
+            knee = gamma * lam
+            return np.where(x <= knee, np.minimum(x, knee) / gamma, lam)
         if self.kind == "scad":
             return np.select(
                 [x < lam, x < gamma * lam],

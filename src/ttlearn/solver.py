@@ -31,6 +31,14 @@ Otherwise ADMM follows from the projected move, unless the box moves ``y*``
 by more than the last outer step moved the iterate; then the previous
 subproblem's solution is the nearer start and ADMM warm-starts from it. The
 solve starts from ``x0`` projected onto the box.
+
+Above the threshold the proximal weight is local: each step has its own
+``rho_t``, seeded at ``rho`` and never above it. Below ``rho`` a step keeps
+only an exact move that lies in the box and meets the loss's quadratic
+upper model with weight ``rho_t`` (Beck & Teboulle, 2009); otherwise
+``rho_t`` doubles. At ``rho_t = rho`` a step takes the path above. A step
+whose first trial is kept inside the box halves the next step's ``rho_t``.
+Below the threshold ``rho`` stays fixed and every step is one ADMM solve.
 """
 from __future__ import annotations
 
@@ -87,7 +95,11 @@ class PMMConfig:
     the infinity-norm constraint, ``xi`` the admissible inexactness of the
     subproblem solves (must lie in (0, 1/2)). Monotone descent is guaranteed
     only when ``rho`` exceeds L/(1 - 2*xi) for the loss gradient's Lipschitz
-    constant L; the solver warns and skips the descent assertion otherwise.
+    constant L; the solver warns and skips the descent assertion otherwise,
+    and keeps ``rho`` fixed. Above the threshold ``rho`` is the first step
+    weight ``rho_0`` and the ceiling of the backtracked ``rho_t`` (see
+    :func:`pmm_solve`); :meth:`descent_margin` is the margin of a step
+    certified at ``rho`` by the descent rule.
     """
 
     rho: float
@@ -148,7 +160,14 @@ class KKTResiduals:
 
 @dataclass
 class TraceEntry:
-    """Record of one outer iteration; ``objective`` is taken at the new iterate."""
+    """Record of one outer iteration; ``objective`` is taken at the new iterate.
+
+    ``rho`` is the accepted step weight ``rho_t`` and ``trials`` the number of
+    weights tried, each with its own exact move (one ADMM solve below the
+    descent threshold, where ``rho_t`` is ``--rho``). ``inner_iterations``
+    counts those of the accepted trial, one for an exact step. ``exhausted``
+    says that ``max_inner`` ran out before the descent rule held.
+    """
 
     objective: float
     step_norm: float
@@ -156,14 +175,21 @@ class TraceEntry:
     inner_iterations: int
     kkt_residual: float
     feasible: bool
+    rho: float
+    trials: int
+    exhausted: bool
 
 
 @dataclass
 class SolveTrace:
     """Record of one solve.
 
-    ``multi_rank`` is the final iterate's per-slice rank, counted from the
-    factors the solve holds; :meth:`to_dict` leaves it out.
+    ``descent_margin`` is the least ``a`` with
+    ``F(x_{t+1}) + a ||x_{t+1} - x_t||^2 <= F(x_t)`` that every recorded step
+    provably meets (``rho/2`` before any step; 0 when not descent-checked);
+    :func:`pmm_solve` derives it. ``multi_rank`` is the final iterate's
+    per-slice rank, counted from the factors the solve holds; :meth:`to_dict`
+    leaves it out.
     """
 
     initial_objective: float
@@ -194,9 +220,15 @@ def objective_value(
     u: OrthogonalTransform,
     cfg: PMMConfig,
     factors=None,
+    loss_value: float | None = None,
 ) -> tuple[float, bool]:
-    """Objective ``loss(x) + beta * penalty`` and the box-feasibility flag; see penalty_value."""
-    value = loss.value(x) + cfg.beta * penalty_value(x, u, pen, factors)
+    """Objective ``loss(x) + beta * penalty`` and the box-feasibility flag; see penalty_value.
+
+    ``loss_value`` is ``loss.value(x)`` when the caller has it already.
+    """
+    if loss_value is None:
+        loss_value = loss.value(x)
+    value = loss_value + cfg.beta * penalty_value(x, u, pen, factors)
     return value, inf_norm(x) <= cfg.box_c + FEASIBILITY_SLACK
 
 
@@ -356,22 +388,50 @@ def pmm_solve(
 
     The loop starts from ``x0`` projected onto the box, so that the first
     descent check compares two feasible points. Gradients of the loss and
-    of the smooth penalty part, and the :func:`subproblem_terms` that every
-    inner stop test and the descent rule share, are evaluated once per outer
-    iteration; the inner solver is warm-started across iterations and keeps
-    one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
-    When ``rho`` clears the descent threshold, each subproblem starts with
-    the exact move of :func:`admm_subproblem`, and an output ``y`` is
-    accepted only when ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2``
-    (plus 1e-9 slack), which by majorization gives the sufficient-descent
-    inequality with ``descent_margin``; otherwise ADMM resumes where it
-    stopped, within what is left of ``max_inner``. Every step is then
-    asserted to not increase the objective (beyond the same slack). Every
-    new iterate is factorized once, for its nuclear norm, its objective and
-    the next smooth-part gradient: an exact step reuses the factors its
+    of the smooth penalty part are evaluated once per outer iteration, and
+    the :func:`subproblem_terms` that every inner stop test and the descent
+    rule share once per trial; the inner solver is warm-started across
+    iterations and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the
+    solve.
+
+    Below the descent threshold every step is one damped ADMM solve at the
+    fixed ``rho``. Above it, each step has its own weight ``rho_t``, seeded
+    at ``rho_0 = rho`` and never above ``rho``. A trial at ``rho_t < rho`` is
+    the exact move of :func:`admm_subproblem` alone (``max_inner`` 1). It is
+    kept when the move lies in the box and the loss meets the local check
+    ``f(y) <= f(x_t) + <grad f(x_t), y - x_t> + (rho_t/2)||y - x_t||^2``
+    (Beck & Teboulle, 2009); otherwise ``rho_t`` becomes
+    ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
+    starts with the exact move and ADMM continues where the box binds; an
+    output ``y`` is accepted only when
+    ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2`` (plus 1e-9 slack),
+    otherwise ADMM resumes where it stopped, within what is left of
+    ``max_inner``. The next step starts at ``rho_t/2`` when this step kept
+    its first trial inside the box, else at ``rho_t``. Every step is then
+    asserted to not increase the objective (beyond the same slack).
+
+    ``descent_margin`` is the least margin ``a_t`` in
+    ``F(x_{t+1}) + a_t ||x_{t+1} - x_t||^2 <= F(x_t)`` that a recorded step
+    provably meets. With ``Delta = y - x_t`` and ``gain`` as below,
+    ``F(y) <= F(x_t) + gain + (c/2)||Delta||^2`` whenever
+    ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (c/2)||Delta||^2``, because
+    ``S2`` is convex, so its linearization at ``x_t`` minorizes it. An exact
+    step minimizes
+    the ``rho_t``-strongly convex model ``gain + (rho_t/2)||Delta||^2``, whose
+    value at ``x_t`` is 0, so ``gain <= -rho_t ||Delta||^2``; with ``c = rho_t``
+    from the local check, or ``c = L <= rho`` at ``rho_t = rho``, it meets
+    ``a_t = rho_t/2``. Any other step at ``rho`` meets the descent rule
+    ``gain <= (xi - 1/2) rho ||Delta||^2`` and ``c = L``, so
+    ``a_t = ((1 - 2 xi) rho - L)/2`` (:meth:`PMMConfig.descent_margin`),
+    unless ``max_inner`` ran out first (``exhausted``); then only the
+    monotone assertion holds and ``a_t = 0``.
+
+    Every new iterate is factorized once, for its nuclear norm, its objective
+    and the next smooth-part gradient: an exact step reuses the factors its
     ``svt`` left in the hint (truncated factors omit zero singular values,
     which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
-    gets :func:`~ttlearn.penalties.slice_svd`.
+    gets :func:`~ttlearn.penalties.slice_svd`. Its loss value serves both
+    the local check and the objective.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
@@ -385,46 +445,73 @@ def pmm_solve(
         )
 
     factors = slice_svd(x, u)
-    objective, _ = objective_value(x, loss, pen, u, pmm_cfg, factors)
+    loss_x = loss.value(x)
+    objective, _ = objective_value(x, loss, pen, u, pmm_cfg, factors, loss_value=loss_x)
     trace = SolveTrace(
         initial_objective=objective,
         descent_checked=descent_ok,
-        descent_margin=pmm_cfg.descent_margin(lipschitz) if descent_ok else 0.0,
+        # no step records a margin above rho/2
+        descent_margin=pmm_cfg.rho / 2 if descent_ok else 0.0,
     )
     warm = None
     hint = SubspaceHint()
     weight = pmm_cfg.beta * pen.slope
     # consecutive subproblems differ by about one outer step: the warm start's error
     step_norm = np.inf
+    rho_t = pmm_cfg.rho
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
         grad_s2 = dc_smooth_grad(x, u, pen, factors)
-        # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
-        # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
-        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
         nuclear = factors[1].sum()
-        budget, inner, exact = admm_cfg, 0, descent_ok
+        trials = inner = 0
+        exhausted = False
         while True:
+            local = descent_ok and rho_t < pmm_cfg.rho
+            if inner == 0:
+                trials += 1
+                cfg_t = replace(pmm_cfg, rho=rho_t) if local else pmm_cfg
+                terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
+                budget = replace(admm_cfg, max_inner=1) if local else admm_cfg
             x_new, m, z, residuals, steps = admm_subproblem(
-                x, grad_f, grad_s2, pen, u, pmm_cfg, budget, warm,
-                hint=hint, exact=exact, warm_error=step_norm, terms=terms,
+                x, grad_f, grad_s2, pen, u, cfg_t, budget, warm,
+                hint=hint, exact=descent_ok and inner == 0, warm_error=step_norm, terms=terms,
             )
-            inner += steps
-            warm = (m, x_new, z)
             if not np.all(np.isfinite(x_new)):
                 raise NumericalDivergenceError("iterate contains non-finite entries", trace)
-            step_norm = fro_norm(x_new - x)
+            delta = x_new - x
+            if local:
+                # only an exact move inside the box (m itself) can meet the local check
+                kept = x_new is m
+                if kept:
+                    loss_new = loss.value(x_new)
+                    kept = loss_new <= (
+                        loss_x + np.vdot(grad_f, delta) + rho_t / 2 * fro_norm(delta) ** 2
+                    )
+                if not kept:
+                    rho_t = min(2 * rho_t, pmm_cfg.rho)
+                    continue
+            inner += steps
+            warm = (m, x_new, z)
+            step_norm = fro_norm(delta)
             # only an exact step returns m itself, whose factors svt left in the hint
             if x_new is m and hint.factors is not None:
                 factors = hint.factors
             else:
                 factors = slice_svd(x_new, u)
-            gain = np.vdot(terms.slope, x_new - x) + weight * (factors[1].sum() - nuclear)
-            bound = (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK
-            if not descent_ok or inner >= admm_cfg.max_inner or gain <= bound:
+            if local or not descent_ok:
                 break
-            budget, exact = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner), False
+            # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
+            # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
+            gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
+            if gain <= (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK:
+                break
+            if inner >= admm_cfg.max_inner:
+                exhausted = True
+                break
+            budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
+        if not local:
+            loss_new = loss.value(x_new)
 
         norm_x = fro_norm(x)
         if norm_x > 0:
@@ -432,11 +519,19 @@ def pmm_solve(
         else:
             rel_step = 0.0 if step_norm == 0 else float("inf")
 
-        new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg, factors)
-        if descent_ok and new_objective > objective + DESCENT_SLACK:
-            raise DescentViolationError(
-                f"objective increased by {new_objective - objective:.3e}", trace
-            )
+        new_objective, feasible = objective_value(
+            x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
+        )
+        if descent_ok:
+            if new_objective > objective + DESCENT_SLACK:
+                raise DescentViolationError(
+                    f"objective increased by {new_objective - objective:.3e}", trace
+                )
+            if x_new is m:
+                margin = rho_t / 2
+            else:
+                margin = 0.0 if exhausted else pmm_cfg.descent_margin(lipschitz)
+            trace.descent_margin = min(trace.descent_margin, margin)
         trace.entries.append(
             TraceEntry(
                 objective=new_objective,
@@ -445,9 +540,15 @@ def pmm_solve(
                 inner_iterations=inner,
                 kkt_residual=residuals.eta_res,
                 feasible=feasible,
+                rho=rho_t,
+                trials=trials,
+                exhausted=exhausted,
             )
         )
-        x, objective = x_new, new_objective
+        # a first trial kept inside the box: the next step tries half the weight
+        if descent_ok and trials == 1 and x_new is m:
+            rho_t /= 2
+        x, objective, loss_x = x_new, new_objective, loss_new
         if rel_step <= pmm_cfg.tol_outer:
             trace.converged = True
             break

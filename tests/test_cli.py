@@ -407,6 +407,15 @@ def test_overflowing_penalty_parameter_exits_one_without_traceback(args, named, 
     assert not out.exists()
 
 
+def test_mcp_gamma_near_its_limit_solves_without_overflow_warnings():
+    # 1/gamma is finite, but x/gamma overflows for singular values above
+    # about 1.8, in the branch of np.where that s2 and s2' discard there
+    proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "3",
+                            "--gamma", "1e-308"])
+    assert proc.returncode == 0
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -528,7 +537,10 @@ TRACE_KEYS = [
     "initial_objective", "outer_iterations", "converged", "descent_checked",
     "descent_margin", "entries",
 ]
-ENTRY_KEYS = ["objective", "step_norm", "rel_step", "inner_iterations", "kkt_residual", "feasible"]
+ENTRY_KEYS = [
+    "objective", "step_norm", "rel_step", "inner_iterations", "kkt_residual", "feasible",
+    "rho", "trials", "exhausted",
+]
 
 
 @pytest.mark.parametrize(

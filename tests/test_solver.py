@@ -27,7 +27,7 @@ from ttlearn.solver import (
     pmm_solve,
     subproblem_terms,
 )
-from ttlearn.tasks import run_completion, synth_completion
+from ttlearn.tasks import run_completion, synth_completion, synth_logistic
 from ttlearn.transforms import dct_transform, identity_transform
 
 MCP = Penalty("mcp", lam=1.0, gamma=2.7)
@@ -680,8 +680,10 @@ class TestPMMSolve:
         x, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=1e-4), loss.y_obs.copy())
         assert trace.converged
         # the run stops at the first step under tol, so the ten steps before it
-        # can each sit near tol*||x||; a factor-2 allowance covers slow decay
-        tail = sum(e.step_norm for e in trace.entries[-10:])
+        # can each sit near tol*||x||; a factor-2 allowance covers slow decay.
+        # A step at rho_t counts as (rho_t/rho)||Delta||, the prox-gradient
+        # residual rho_t||Delta|| over rho: the step itself at a fixed rho
+        tail = sum(e.rho / cfg.rho * e.step_norm for e in trace.entries[-10:])
         assert tail <= 2 * 10 * cfg.tol_outer * top.fro_norm(x)
 
     def test_determinism(self):
@@ -721,7 +723,8 @@ class TestPMMSolve:
         y = rng.standard_normal((3, 3, 2))
         loss = full_mask_loss(y)
         cfg = PMMConfig(rho=10.0, beta=0.5, box_c=5.0, max_outer=5)
-        real_subproblem, starts, inner_budgets, exact = solver.admm_subproblem, [], [], []
+        real_subproblem, starts = solver.admm_subproblem, []
+        rhos, inner_budgets, exact = [], [], []
 
         def worse_second_step(xt, *args, **kwargs):
             x, m, z, residuals, inner = real_subproblem(xt, *args, **kwargs)
@@ -730,6 +733,7 @@ class TestPMMSolve:
             if len(starts) == 2:
                 # every re-entry of the second subproblem returns the worse
                 # iterate, moving every entry away from the full observation y
+                rhos.append(args[4].rho)
                 inner_budgets.append(args[5].max_inner)
                 exact.append(kwargs["exact"])
                 x = xt + 1.0
@@ -741,9 +745,16 @@ class TestPMMSolve:
         trace = excinfo.value.trace
         assert trace.descent_checked
         assert len(starts) == 2 and len(trace.entries) == 1
-        # the descent rule re-entered ADMM until max_inner ran out
-        assert len(inner_budgets) > 1 and inner_budgets[0] == ADMMConfig().max_inner
-        assert all(b > a for a, b in zip(inner_budgets[1:], inner_budgets))
+        # the first step kept its exact move inside the box, so the second
+        # tries rho/2 first: one exact move, which comes back off m, as a
+        # binding move does, and fails; the step goes on at rho
+        assert (rhos[0], inner_budgets[0], exact[0]) == (cfg.rho / 2, 1, True)
+        assert trace.entries[0].rho == cfg.rho and trace.entries[0].trials == 1
+        assert all(rho == cfg.rho for rho in rhos[1:])
+        at_rho, exact = inner_budgets[1:], exact[1:]
+        # at rho the descent rule re-entered ADMM until max_inner ran out
+        assert len(at_rho) > 1 and at_rho[0] == ADMMConfig().max_inner
+        assert all(b > a for a, b in zip(at_rho[1:], at_rho))
         # the first entry makes the exact move; every re-entry runs ADMM from where it stopped
         assert exact[0] and not any(exact[1:])
         assert trace.entries[0].objective < trace.initial_objective
@@ -919,6 +930,127 @@ class TestPMMSolve:
             pmm_solve(loss, MCP, identity_transform(1), cfg, ADMMConfig(), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             pmm_solve(loss, MCP, identity_transform(1), cfg, ADMMConfig(), np.full((2, 2, 1), np.inf))
+
+
+def fixed_rho_solve(loss, pen, u, cfg, admm, x0):
+    """The fixed-rho loop, written out: one damped ADMM solve per outer step.
+
+    Returns the final iterate and the objectives, initial one first.
+    """
+    x = top.project_box(x0, cfg.box_c)
+    factors = penalties.slice_svd(x, u)
+    objectives = [objective_value(x, loss, pen, u, cfg, factors)[0]]
+    warm, hint = None, penalties.SubspaceHint()
+    for _ in range(cfg.max_outer):
+        grad_f, grad_s2 = loss.grad(x), dc_smooth_grad(x, u, pen, factors)
+        x_new, m, z, _, _ = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, admm, warm, hint=hint)
+        warm = (m, x_new, z)
+        factors = penalties.slice_svd(x_new, u)
+        objectives.append(objective_value(x_new, loss, pen, u, cfg, factors)[0])
+        step, norm_x = top.fro_norm(x_new - x), top.fro_norm(x)
+        x = x_new
+        if step <= cfg.tol_outer * norm_x:
+            break
+    return x, objectives
+
+
+class TestLocalStepWeight:
+    """Above the descent threshold each step backtracks its own weight rho_t <= rho."""
+
+    # the box runs from far inside the observed peak to just outside it, so
+    # most draws bind it at some step: those steps go back up to rho
+    @settings(max_examples=40)
+    @given(
+        dims=st.tuples(st.integers(2, 10), st.integers(2, 10), st.integers(1, 4)),
+        rank=st.integers(1, 2),
+        sr=st.floats(0.3, 0.9),
+        kind_gamma=KIND_GAMMA,
+        lam=st.floats(0.5, 4.0),
+        beta=st.floats(0.5, 3.0),
+        rho_over_threshold=st.floats(1.05, 4.0),
+        box_fraction=st.floats(0.3, 1.05),
+        tol_inner=st.sampled_from([3e-4, 1e-3, 3e-3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_step_meets_the_recorded_margin_with_a_binding_box(
+        self, dims, rank, sr, kind_gamma, lam, beta, rho_over_threshold, box_fraction,
+        tol_inner, seed,
+    ):
+        u = dct_transform(dims[2])
+        _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
+        assume(mask.any() and top.inf_norm(y_obs) > 0)
+        loss = CompletionLoss(y_obs, mask)
+        rho = rho_over_threshold * loss.lipschitz_constant() / (1 - 2 * PMMConfig.xi)
+        cfg = PMMConfig(rho=rho, beta=beta, box_c=box_fraction * top.inf_norm(y_obs),
+                        max_outer=40)
+        pen = drawn_penalty(kind_gamma, lam)
+        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=tol_inner), y_obs)
+        assert trace.descent_checked
+        a, objectives = trace.descent_margin, trace.objectives()
+        assert a > 0 or any(e.exhausted for e in trace.entries)
+        for t, entry in enumerate(trace.entries):
+            assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + 1e-9
+            assert 0 < entry.rho <= rho and entry.trials >= 1
+
+    @pytest.mark.parametrize("task", ["complete", "classify"])
+    def test_below_the_threshold_rho_stays_fixed_as_in_the_fixed_rho_loop(self, task):
+        # the classify-cli regime: rho below L/(1 - 2 xi), where pmm_solve
+        # keeps the fixed-rho damped ADMM of old bit for bit
+        u = dct_transform(2)
+        if task == "complete":
+            _, y_obs, mask = synth_completion((6, 6, 2), 1, 0.6, 0.01, u, seed=3)
+            loss, x0 = CompletionLoss(y_obs, mask), y_obs
+            cfg = PMMConfig(rho=1.0, beta=1.0, box_c=3.0, max_outer=40)
+            pen, admm = MCP, ADMMConfig(tol_inner=3e-4)
+        else:
+            problem = synth_logistic((5, 5, 2), 1, 120, 10, u, seed=0)
+            loss = LogisticLoss(problem.train_samples, problem.train_labels)
+            x0 = np.zeros(loss.shape)
+            cfg = PMMConfig(rho=0.15, beta=0.5, box_c=10.0, max_outer=40)
+            pen, admm = Penalty("mcp", lam=0.2, gamma=2.7), ADMMConfig(tol_inner=1e-3)
+        assert cfg.rho < cfg.rho_threshold(loss.lipschitz_constant())
+        with pytest.warns(RuntimeWarning, match="descent is not guaranteed"):
+            x, trace = pmm_solve(loss, pen, u, cfg, admm, x0)
+            ref_x, ref_objectives = fixed_rho_solve(loss, pen, u, cfg, admm, x0)
+        assert len(trace.entries) > 5
+        assert all((e.rho, e.trials, e.exhausted) == (cfg.rho, 1, False) for e in trace.entries)
+        assert trace.objectives() == ref_objectives
+        assert np.array_equal(x, ref_x)
+
+    def test_a_binding_move_below_rho_is_retried_at_twice_the_weight(self, monkeypatch):
+        # a box just inside the observed peak: steps kept inside the box halve
+        # the next step's rho_t, and a trial below rho whose move binds the
+        # box (comes back off m) is retried at min(2 rho_t, rho)
+        u = dct_transform(2)
+        _, y_obs, mask = synth_completion((8, 8, 2), 1, 0.6, 0.01, u, seed=2)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=2.0, gamma=2.7)
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=0.95 * top.inf_norm(y_obs), max_outer=30)
+        real_subproblem, steps = solver.admm_subproblem, []
+
+        def recorded(xt, *args, **kwargs):
+            if not steps or steps[-1][0] is not xt:
+                steps.append((xt, []))
+            out = real_subproblem(xt, *args, **kwargs)
+            steps[-1][1].append((args[4].rho, args[5].max_inner, kwargs["exact"], out[0] is out[1]))
+            return out
+
+        monkeypatch.setattr(solver, "admm_subproblem", recorded)
+        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(), y_obs)
+        assert trace.descent_checked and len(steps) == len(trace.entries)
+        retried, rho_t = 0, cfg.rho
+        for (_, calls), entry in zip(steps, trace.entries):
+            trials = [call for call in calls if call[2]]
+            assert trials[0][0] == rho_t and len(trials) == entry.trials
+            for (rho, budget, _, inside), after in zip(trials, trials[1:]):
+                # every trial below rho is the exact move alone
+                assert rho < cfg.rho and budget == 1
+                assert after[0] == min(2 * rho, cfg.rho)
+                retried += not inside
+            assert trials[-1][0] == entry.rho
+            kept_first_inside = calls == [(rho_t, 1 if rho_t < cfg.rho else 100, True, True)]
+            rho_t = entry.rho / 2 if kept_first_inside else entry.rho
+        assert retried > 0
 
 
 class TestTruncatedSVTInSolve:

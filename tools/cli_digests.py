@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 30 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 31 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -110,6 +110,11 @@ COMMANDS = [
     # a log penalty with gamma < 1, whose smooth part is convex only with s2'(0) = 0
     ["complete", "--synthetic", "--dims", "12x12x3", "--rank", "1", "--lambda", "2",
      "--beta", "2", "--rho", "4", "--penalty", "log", "--gamma", "0.5", "--max-outer", "40"],
+    # a box at 0.9 of the observed peak: moves below rho that bind it are
+    # retried at twice the weight
+    ["complete", "--synthetic", "--dims", "10x10x3", "--rank", "1", "--sr", "0.6", "--seed", "1",
+     "--lambda", "2", "--beta", "2", "--rho", "4", "--box-c", "3.5944134363242597",
+     "--max-outer", "30"],
 ]
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
