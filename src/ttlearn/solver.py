@@ -34,10 +34,11 @@ solve starts from ``x0`` projected onto the box.
 
 Above the threshold the proximal weight is local: each step has its own
 ``rho_t``, seeded at ``rho`` and never above it. Below ``rho`` a step keeps
-only an exact move that lies in the box and meets the loss's quadratic
-upper model with weight ``rho_t`` (Beck & Teboulle, 2009); otherwise
-``rho_t`` doubles. At ``rho_t = rho`` a step takes the path above. A step
-whose first trial is kept inside the box halves the next step's ``rho_t``.
+only an exact move that lies in the box, meets the loss's quadratic upper
+model with weight ``rho_t`` (Beck & Teboulle, 2009) and gains on its model
+what an exact move provably does; otherwise ``rho_t`` doubles. At
+``rho_t = rho`` a step takes the path above. A step whose first trial is
+kept inside the box halves the next step's ``rho_t``.
 Below the threshold ``rho`` stays fixed and every step is one ADMM solve.
 """
 from __future__ import annotations
@@ -398,9 +399,10 @@ def pmm_solve(
     fixed ``rho``. Above it, each step has its own weight ``rho_t``, seeded
     at ``rho_0 = rho`` and never above ``rho``. A trial at ``rho_t < rho`` is
     the exact move of :func:`admm_subproblem` alone (``max_inner`` 1). It is
-    kept when the move lies in the box and the loss meets the local check
+    kept when the move lies in the box, the loss meets the local check
     ``f(y) <= f(x_t) + <grad f(x_t), y - x_t> + (rho_t/2)||y - x_t||^2``
-    (Beck & Teboulle, 2009); otherwise ``rho_t`` becomes
+    (Beck & Teboulle, 2009) and ``gain <= -rho_t ||y - x_t||^2`` (plus 1e-9
+    slack; see below); otherwise ``rho_t`` becomes
     ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
     starts with the exact move and ADMM continues where the box binds; an
     output ``y`` is accepted only when
@@ -420,8 +422,10 @@ def pmm_solve(
     the ``rho_t``-strongly convex model ``gain + (rho_t/2)||Delta||^2``, whose
     value at ``x_t`` is 0, so ``gain <= -rho_t ||Delta||^2``; with ``c = rho_t``
     from the local check, or ``c = L <= rho`` at ``rho_t = rho``, it meets
-    ``a_t = rho_t/2``. Any other step at ``rho`` meets the descent rule
-    ``gain <= (xi - 1/2) rho ||Delta||^2`` and ``c = L``, so
+    ``a_t = rho_t/2``. A truncated ``svt`` is only near the exact move, so
+    the solve checks that bound on the gain and records ``rho_t/2`` only for
+    an exact step that meets it. Any other step at ``rho`` meets the descent
+    rule ``gain <= (xi - 1/2) rho ||Delta||^2`` and ``c = L``, so
     ``a_t = ((1 - 2 xi) rho - L)/2`` (:meth:`PMMConfig.descent_margin`),
     unless ``max_inner`` ran out first (``exhausted``); then only the
     monotone assertion holds and ``a_t = 0``.
@@ -485,21 +489,27 @@ def pmm_solve(
                 kept = x_new is m
                 if kept:
                     loss_new = loss.value(x_new)
-                    kept = loss_new <= (
-                        loss_x + np.vdot(grad_f, delta) + rho_t / 2 * fro_norm(delta) ** 2
-                    )
+                    square = fro_norm(delta) ** 2
+                    kept = loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * square
+                if kept:
+                    factors = hint.factors if hint.factors is not None else slice_svd(x_new, u)
+                    gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
+                    # an exact svt gives gain <= -rho_t ||Delta||^2; a truncated one may not
+                    kept = gain <= -rho_t * square + DESCENT_SLACK
                 if not kept:
                     rho_t = min(2 * rho_t, pmm_cfg.rho)
                     continue
             inner += steps
             warm = (m, x_new, z)
             step_norm = fro_norm(delta)
+            if local:
+                break
             # only an exact step returns m itself, whose factors svt left in the hint
             if x_new is m and hint.factors is not None:
                 factors = hint.factors
             else:
                 factors = slice_svd(x_new, u)
-            if local or not descent_ok:
+            if not descent_ok:
                 break
             # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
             # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
@@ -527,7 +537,7 @@ def pmm_solve(
                 raise DescentViolationError(
                     f"objective increased by {new_objective - objective:.3e}", trace
                 )
-            if x_new is m:
+            if x_new is m and gain <= -rho_t * step_norm**2 + DESCENT_SLACK:
                 margin = rho_t / 2
             else:
                 margin = 0.0 if exhausted else pmm_cfg.descent_margin(lipschitz)

@@ -601,6 +601,19 @@ class TestExactMove:
             assert objective == loss.value(xi)
 
 
+def rank_one_slices_completion():
+    """A 12x12x3 completion whose DCT slices have rank 1, 60 % observed."""
+    rng = np.random.default_rng(13)
+    u = dct_transform(3)
+    truth_hat = np.zeros((12, 12, 3))
+    for k in range(3):
+        truth_hat[:, :, k] = rng.standard_normal((12, 1)) @ rng.standard_normal((1, 12))
+    truth = top.inverse_transform(truth_hat, u)
+    mask = rng.random((12, 12, 3)) < 0.6
+    mask.flat[0] = True
+    return CompletionLoss(np.where(mask, truth, 0.0), mask), truth, u
+
+
 class TestPMMSolve:
     def test_beta_zero_full_mask_recovers_target(self):
         rng = np.random.default_rng(7)
@@ -666,24 +679,18 @@ class TestPMMSolve:
         assert not trace.descent_checked
 
     def test_step_norms_plateau_near_convergence(self):
-        rng = np.random.default_rng(13)
-        u = dct_transform(3)
-        truth_hat = np.zeros((12, 12, 3))
-        for k in range(3):
-            truth_hat[:, :, k] = rng.standard_normal((12, 1)) @ rng.standard_normal((1, 12))
-        truth = top.inverse_transform(truth_hat, u)
-        mask = rng.random((12, 12, 3)) < 0.6
-        mask.flat[0] = True
-        loss = CompletionLoss(np.where(mask, truth, 0.0), mask)
-        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=1.05 * top.inf_norm(truth))
+        loss, truth, u = rank_one_slices_completion()
+        # the box binds from the first step on, so every step runs at rho:
+        # TestLocalStepWeight::test_the_stop_lies_within_a_few_tol_of_the_limit
+        # covers this data with a slack box, where rho_t moves
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=0.9 * top.inf_norm(truth))
         pen = Penalty("mcp", lam=2.0, gamma=2.7)
         x, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=1e-4), loss.y_obs.copy())
         assert trace.converged
+        assert all(e.rho == cfg.rho for e in trace.entries)
         # the run stops at the first step under tol, so the ten steps before it
-        # can each sit near tol*||x||; a factor-2 allowance covers slow decay.
-        # A step at rho_t counts as (rho_t/rho)||Delta||, the prox-gradient
-        # residual rho_t||Delta|| over rho: the step itself at a fixed rho
-        tail = sum(e.rho / cfg.rho * e.step_norm for e in trace.entries[-10:])
+        # can each sit near tol*||x||; a factor-2 allowance covers slow decay
+        tail = sum(e.step_norm for e in trace.entries[-10:])
         assert tail <= 2 * 10 * cfg.tol_outer * top.fro_norm(x)
 
     def test_determinism(self):
@@ -1051,6 +1058,51 @@ class TestLocalStepWeight:
             kept_first_inside = calls == [(rho_t, 1 if rho_t < cfg.rho else 100, True, True)]
             rho_t = entry.rho / 2 if kept_first_inside else entry.rho
         assert retried > 0
+
+    def test_the_stop_lies_within_a_few_tol_of_the_limit(self):
+        # TestPMMSolve::test_step_norms_plateau_near_convergence with a slack
+        # box: the steps at rho_t decay geometrically, so the last ten are not
+        # a plateau, but the iterate at the stop lies within a few tol of
+        # where a far longer run ends
+        loss, truth, u = rank_one_slices_completion()
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=1.05 * top.inf_norm(truth))
+        pen, admm = Penalty("mcp", lam=2.0, gamma=2.7), ADMMConfig(tol_inner=1e-4)
+        x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
+        assert trace.converged and len({e.rho for e in trace.entries}) > 2
+        limit, long_trace = pmm_solve(
+            loss, pen, u, dataclasses.replace(cfg, tol_outer=1e-12, max_outer=1000), admm,
+            loss.y_obs.copy(),
+        )
+        assert long_trace.converged
+        assert top.fro_norm(x - limit) <= 4 * cfg.tol_outer * top.fro_norm(limit)
+        # the prox-gradient residual rho_t||Delta|| over rho plateaus as the
+        # step itself does at a fixed rho
+        tail = sum(e.rho / cfg.rho * e.step_norm for e in trace.entries[-10:])
+        assert tail <= 2 * 10 * cfg.tol_outer * top.fro_norm(x)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.5])
+    @pytest.mark.parametrize("kind", ["mcp", "convex"])
+    def test_an_inexact_move_keeps_no_margin_it_does_not_meet(self, kind, scale, monkeypatch):
+        # every exact move thresholds at scale times its weight, as a far-off
+        # truncated svt might, while ADMM's own svt calls stay exact: the loss
+        # meets its local check, but only the gain test keeps the margin rho_t/2
+        # from a step that does not meet it
+        u = dct_transform(2)
+        _, y_obs, mask = synth_completion((8, 8, 2), 2, 0.6, 0.01, u, seed=0)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=2.0, gamma=2.7) if kind == "mcp" else Penalty("convex", lam=2.0)
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=10.0, max_outer=40)
+        admm_threshold = cfg.beta * pen.slope / solver.ADMM_ETA
+
+        def off(a, tau, u, hint=None):
+            return svt(a, tau if tau == admm_threshold else scale * tau, u, hint=hint)
+
+        monkeypatch.setattr(solver, "svt", off)
+        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4), y_obs)
+        assert len(trace.entries) > 20
+        a, objectives = trace.descent_margin, trace.objectives()
+        for t, entry in enumerate(trace.entries):
+            assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + 1e-9
 
 
 class TestTruncatedSVTInSolve:
