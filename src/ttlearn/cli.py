@@ -41,7 +41,6 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--gamma", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--xi", type=float)
     p.add_argument("--box-c", dest="box_c", type=float)
     p.add_argument("--transform", choices=TRANSFORMS)
     p.add_argument("--max-outer", dest="max_outer", type=int)
@@ -154,7 +153,6 @@ def _driver_kwargs(cfg: ExperimentConfig) -> dict:
     return dict(
         transform_kind=cfg.transform,
         rho=cfg.resolved_rho(),
-        xi=cfg.xi,
         box_c=cfg.resolved_box_c(),
         admm_cfg=cfg.build_admm(),
         max_outer=cfg.max_outer,
@@ -316,6 +314,8 @@ def _run_synth(args) -> dict:
 
 
 def _run_tsvd(args) -> dict:
+    if not 0 <= args.tol < np.inf:
+        raise UsageError("tol must be finite and nonnegative")
     x = read_tensor(args.input)
     if args.pilot:
         transform = data_driven_transform(read_tensor(args.pilot))
@@ -327,7 +327,7 @@ def _run_tsvd(args) -> dict:
         "transform": transform.kind,
         "tol": args.tol,
         "singular_values": sigma.tolist(),
-        "multi_rank": top.multi_rank(x, transform, args.tol).tolist(),
+        "multi_rank": top.rank_counts(sigma, args.tol).tolist(),
     }
 
 

@@ -2,7 +2,8 @@
 
 A config validates on construction. The ranges and defaults of the penalty
 and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``
-(the inner ADMM's weight and dual step are constants of ``solver``), whose
+(the inner ADMM's weight and dual step and the subproblems' admissible
+inexactness xi = 0.1 are constants of ``solver``), whose
 rejection is reported under the JSON key; the task defaults and fixed
 transforms belong to ``tasks``. The experiment-only fields (task, transform,
 sampling and generator sizes, paths) are checked here. Every value is
@@ -48,7 +49,6 @@ class ExperimentConfig:
     transform: str = "dct"
     beta: float = 1.0
     rho: float | None = None  # task default when None
-    xi: float = PMMConfig.xi
     box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
     max_outer: int = PMMConfig.max_outer
     tol_outer: float = PMMConfig.tol_outer
@@ -91,7 +91,6 @@ class ExperimentConfig:
             rho=self.resolved_rho(),
             beta=self.beta,
             box_c=1.0 if self.box_c is None else self.box_c,
-            xi=self.xi,
             max_outer=self.max_outer,
             tol_outer=self.tol_outer,
         )

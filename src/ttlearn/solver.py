@@ -17,10 +17,12 @@ thresholding for ``m``, a box projection for ``x``, and a scaled dual ascent
 for ``z``. The inner loop stops on a relative KKT residual; the outer loop
 stops on the relative step norm.
 
-When ``rho`` clears the descent threshold, each subproblem starts with the
-exact move: without the box its minimizer is one thresholding,
-``y* = svt(v, beta*lam*k0/rho)``, so when ``|y*|_inf <= c`` it is the answer,
-with multiplier ``z* = rho (v - y*)``. When the box binds, the projected move
+When ``rho`` clears the descent threshold ``L/(1 - 2*xi)``, for the loss
+gradient's Lipschitz constant ``L`` and the admissible inexactness
+xi = :data:`XI` = 0.1, each subproblem starts with the exact move: without
+the box its minimizer is one thresholding, ``y* = svt(v, beta*lam*k0/rho)``,
+so when ``|y*|_inf <= c`` it is the answer, with multiplier
+``z* = rho (v - y*)``. When the box binds, the projected move
 ``(m, x, z) = (y*, project_box(y*), z*)``, the first iterate of Dykstra's
 algorithm for the prox of the sum, has ``eta_d`` and ``eta_p`` zero up to
 rounding and ``eta_e`` equal to the box's relative move; it is the answer
@@ -44,7 +46,7 @@ Below the threshold ``rho`` stays fixed and every step is one ADMM solve.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +70,11 @@ from .transforms import OrthogonalTransform
 # in (0, (1 + sqrt 5)/2), so tau must stay below the golden ratio.
 ADMM_ETA = 10.0
 ADMM_TAU = 1.618
+# The admissible inexactness xi of the subproblem solves is a constant for the
+# same reason: every documented solve runs 0.1. The descent rule accepts a
+# subproblem output when its model gain is at most (xi - 1/2) rho ||Delta||^2,
+# which certifies descent only for 0 < xi < 1/2 and rho above L/(1 - 2 xi).
+XI = 0.1
 DESCENT_SLACK = 1e-9
 FEASIBILITY_SLACK = 1e-12
 
@@ -93,9 +100,10 @@ class PMMConfig:
     """Outer-loop parameters.
 
     ``rho`` weights the proximal quadratic, ``beta`` the penalty, ``box_c``
-    the infinity-norm constraint, ``xi`` the admissible inexactness of the
-    subproblem solves (must lie in (0, 1/2)). Monotone descent is guaranteed
-    only when ``rho`` exceeds L/(1 - 2*xi) for the loss gradient's Lipschitz
+    the infinity-norm constraint; the fields after ``box_c`` are keyword-only.
+    ``rho`` must keep ``1/rho`` finite. Monotone descent is guaranteed only
+    when ``rho`` exceeds L/(1 - 2*xi), with the subproblems' admissible
+    inexactness xi = 0.1 (:data:`XI`) and the loss gradient's Lipschitz
     constant L; the solver warns and skips the descent assertion otherwise,
     and keeps ``rho`` fixed. Above the threshold ``rho`` is the first step
     weight ``rho_0`` and the ceiling of the backtracked ``rho_t`` (see
@@ -106,7 +114,7 @@ class PMMConfig:
     rho: float
     beta: float
     box_c: float
-    xi: float = 0.1
+    _: KW_ONLY
     max_outer: int = 100
     tol_outer: float = 5e-4
 
@@ -117,19 +125,20 @@ class PMMConfig:
             raise ParameterError("beta", "must be nonnegative")
         if not self.box_c > 0:
             raise ParameterError("box_c", "must be positive")
-        if not 0 < self.xi < 0.5:
-            raise ParameterError("xi", "must lie in (0, 1/2)")
         if self.max_outer < 0:
             raise ParameterError("max_outer", "must be nonnegative")
         if not self.tol_outer > 0:
             raise ParameterError("tol_outer", "must be positive")
         require_finite(rho=self.rho, beta=self.beta)
+        # the KKT residuals divide by rho, which overflows for a subnormal rho
+        if not np.isfinite(1 / self.rho):
+            raise ParameterError("rho", "must keep 1/rho finite")
 
     def rho_threshold(self, lipschitz: float) -> float:
-        return lipschitz / (1 - 2 * self.xi)
+        return lipschitz / (1 - 2 * XI)
 
     def descent_margin(self, lipschitz: float) -> float:
-        return ((1 - 2 * self.xi) * self.rho - lipschitz) / 2
+        return ((1 - 2 * XI) * self.rho - lipschitz) / 2
 
 
 @dataclass(frozen=True)
@@ -336,7 +345,11 @@ def admm_subproblem(
     1). Otherwise ADMM continues from the move, whose error is at least the
     box's move ``||y* - project_box(y*)||``, unless ``warm`` is given and that
     move exceeds ``warm_error``, an estimate of the warm start's distance from
-    the answer; then it continues from ``warm``.
+    the answer; then it continues from ``warm``. A ``v`` with non-finite
+    entries (``rho * xt`` overflowed) is returned as is, as all three blocks
+    with infinite residuals after one iteration, without the move's ``svt``:
+    like any non-finite iterate, the caller reports it (:func:`pmm_solve`
+    raises :class:`NumericalDivergenceError`).
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     # constant part of the x-update numerator
@@ -346,6 +359,9 @@ def admm_subproblem(
     first = 1
     if exact:
         v = drift / rho
+        if not np.all(np.isfinite(v)):
+            # an SVD of non-finite entries need not return; the caller checks the iterate
+            return v, v, v, KKTResiduals(np.inf, np.inf, np.inf), 1
         m = svt(v, beta * pen.slope / rho, u, hint=hint)
         z = rho * (v - m)
         slack = inf_norm(m) <= c
@@ -406,7 +422,8 @@ def pmm_solve(
     ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
     starts with the exact move and ADMM continues where the box binds; an
     output ``y`` is accepted only when
-    ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2`` (plus 1e-9 slack),
+    ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2`` (plus 1e-9 slack, with
+    ``xi`` = :data:`XI` = 0.1),
     otherwise ADMM resumes where it stopped, within what is left of
     ``max_inner``. The next step starts at ``rho_t/2`` when this step kept
     its first trial inside the box, else at ``rho_t``. Every step is then
@@ -514,7 +531,7 @@ def pmm_solve(
             # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
             # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
             gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
-            if gain <= (pmm_cfg.xi - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK:
+            if gain <= (XI - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK:
                 break
             if inner >= admm_cfg.max_inner:
                 exhausted = True

@@ -254,7 +254,6 @@ def run_completion(
     beta: float,
     transform_kind: str = "dct",
     rho: float = TASK_RHO["complete"],
-    xi: float = solver.PMMConfig.xi,
     box_c: float | None = None,
     admm_cfg: solver.ADMMConfig | None = None,
     max_outer: int = solver.PMMConfig.max_outer,
@@ -282,7 +281,7 @@ def run_completion(
         box_c = 1.05 * observed_peak
     recovered, info = _run(
         "complete", loss, loss.y_obs.copy(), pen, transform_kind, admm_cfg, pilot_max_outer,
-        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
+        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer, tol_outer=tol_outer,
     )
     if ground_truth is not None:
         info["metrics"] = {
@@ -300,7 +299,6 @@ def run_classification(
     beta: float,
     transform_kind: str = "dct",
     rho: float = TASK_RHO["classify"],
-    xi: float = solver.PMMConfig.xi,
     box_c: float = CLASSIFY_BOX_C,
     admm_cfg: solver.ADMMConfig | None = None,
     max_outer: int = solver.PMMConfig.max_outer,
@@ -322,7 +320,7 @@ def run_classification(
         margins(test_samples, np.zeros(loss.shape))
     coeff, info = _run(
         "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg, pilot_max_outer,
-        rho=rho, beta=beta, box_c=box_c, xi=xi, max_outer=max_outer, tol_outer=tol_outer,
+        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer, tol_outer=tol_outer,
     )
     if tested:
         _, labels = predict(coeff, test_samples)

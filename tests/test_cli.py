@@ -63,6 +63,26 @@ def test_tsvd_with_pilot_transform(tmp_path):
     assert load_json(out)["transform"] == "data"
 
 
+def test_tsvd_factorizes_its_input_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((5, 4, 3))
+    x[:, :, 1] = 0.0
+    src = tmp_path / "x.tns"
+    write_tensor(src, x)
+    real_svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    out = tmp_path / "out.json"
+    assert run_cli(["tsvd", "--input", str(src), "--transform", "identity",
+                    "--results", str(out)]) == 0
+    assert shapes == [(3, 5, 4)]
+    assert load_json(out)["multi_rank"] == [4, 0, 4]
+
+
 def test_metrics_matches_in_process(tmp_path):
     rng = np.random.default_rng(1)
     truth = rng.standard_normal((5, 5, 2))
@@ -364,9 +384,10 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
     assert f"config field '{named}': must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--eta", "5"), ("--tau", "1")])
+@pytest.mark.parametrize("flag,value", [("--eta", "5"), ("--tau", "1"), ("--xi", "0.7")])
 def test_removed_solver_flag_exits_one_naming_it(flag, value):
-    # the inner ADMM's weight and dual step are solver constants, not options
+    # the inner ADMM's weight and dual step and the subproblems' inexactness xi
+    # are solver constants, not options
     proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", flag, value])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -414,6 +435,36 @@ def test_mcp_gamma_near_its_limit_solves_without_overflow_warnings():
                             "--gamma", "1e-308"])
     assert proc.returncode == 0
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("extra", [[], ["--beta", "1e10"]], ids=["default-beta", "beta-1e10"])
+def test_overflowing_exact_move_exits_two_instead_of_hanging(extra, tmp_path):
+    # rho * x overflows in the exact move's center v; an SVD of its infinite
+    # entries can loop inside LAPACK, so the timeout turns a hang into a failure
+    out = tmp_path / "out.json"
+    proc = run_cli_process(
+        ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "1", "--rho", "1e308",
+         *extra, "--results", str(out)],
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "numerical divergence: iterate contains non-finite entries" in proc.stderr
+    assert not out.exists()
+
+
+def test_subnormal_rho_exits_one_before_solving(tmp_path, monkeypatch, capsys):
+    # 1/rho overflows in the KKT residuals; the run used to exit 0 with a garbage fit
+    def never(*args, **kwargs):
+        raise AssertionError("solver must not run")
+
+    monkeypatch.setattr(solver, "pmm_solve", never)
+    out = tmp_path / "out.json"
+    args = ["complete", "--synthetic", "--dims", "6x6x2", "--max-outer", "3", "--rho", "1e-320",
+            "--results", str(out)]
+    assert run_cli(args) == 1
+    assert "error: config field 'rho': must keep 1/rho finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -529,7 +580,7 @@ def test_zero_test_count_means_no_test_split(tmp_path, recwarn):
 
 SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]
 CONFIG_KEYS = [
-    "task", "penalty", "gamma", "transform", "beta", "rho", "xi", "box_c", "max_outer",
+    "task", "penalty", "gamma", "transform", "beta", "rho", "box_c", "max_outer",
     "tol_outer", "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train", "n_test",
     "rank", "dims", "pilot_max_outer", "paths", "lambda",
 ]

@@ -37,18 +37,14 @@ def test_lambda_alias(tmp_path):
     assert cfg.echo()["lambda"] == 0.7
 
 
-@pytest.mark.parametrize("field", ["eta", "tau"])
+@pytest.mark.parametrize("field", ["eta", "tau", "xi"])
 def test_removed_admm_fields_are_unknown(field, tmp_path):
-    # the inner ADMM's weight and dual step are solver constants, not options
+    # the inner ADMM's weight and dual step and the subproblems' inexactness xi
+    # are solver constants, not options
     with pytest.raises(ConfigError) as excinfo:
         load_config(write_config(tmp_path, {field: 2.0}), task="complete")
     assert excinfo.value.fieldname == field
     assert str(excinfo.value) == f"config field {field!r}: unknown field"
-
-
-def test_xi_out_of_range_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="xi"):
-        load_config(write_config(tmp_path, {"xi": 0.7}), task="complete")
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -143,8 +139,8 @@ def test_overflowing_nuclear_norm_weight_rejected(payload):
 
 def test_delegated_range_messages():
     with pytest.raises(ConfigError) as excinfo:
-        config_from_dict({"task": "complete", "xi": 0.7})
-    assert str(excinfo.value) == "config field 'xi': must lie in (0, 1/2)"
+        config_from_dict({"task": "complete", "rho": 1e-320})
+    assert str(excinfo.value) == "config field 'rho': must keep 1/rho finite"
     with pytest.raises(ValueError) as excinfo:
         Penalty("mcp", lam=0.0)
     assert str(excinfo.value) == "lam must be positive"
@@ -211,5 +207,5 @@ def test_replace_validates_like_construction():
 def test_echoed_defaults_are_the_drivers_defaults(task, driver):
     echoed = config_from_dict({}, task=task).echo()
     params = inspect.signature(driver).parameters
-    for name in ("rho", "box_c", "xi", "max_outer", "tol_outer"):
+    for name in ("rho", "box_c", "max_outer", "tol_outer"):
         assert echoed[name] == params[name].default, name

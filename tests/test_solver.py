@@ -39,16 +39,24 @@ def full_mask_loss(y):
 
 class TestConfigs:
     def test_pmm_ranges(self):
-        PMMConfig(rho=1.0, beta=0.0, box_c=1.0, xi=0.49)
+        PMMConfig(rho=1.0, beta=0.0, box_c=1.0)
         with pytest.raises(ValueError):
             PMMConfig(rho=0.0, beta=1.0, box_c=1.0)
         with pytest.raises(ValueError):
             PMMConfig(rho=1.0, beta=-1.0, box_c=1.0)
         with pytest.raises(ValueError):
             PMMConfig(rho=1.0, beta=1.0, box_c=0.0)
-        for xi in (0.0, 0.5, 0.7):
-            with pytest.raises(ValueError):
-                PMMConfig(rho=1.0, beta=1.0, box_c=1.0, xi=xi)
+        with pytest.raises(ValueError, match="must keep 1/rho finite"):
+            PMMConfig(rho=1e-320, beta=1.0, box_c=1.0)
+        PMMConfig(rho=1e-300, beta=1.0, box_c=1.0)
+
+    def test_xi_is_a_constant_and_the_loop_fields_are_keyword_only(self):
+        assert 0 < solver.XI < 0.5
+        with pytest.raises(TypeError):
+            PMMConfig(rho=1.0, beta=1.0, box_c=1.0, xi=0.1)
+        # an old positional xi would have set max_outer
+        with pytest.raises(TypeError):
+            PMMConfig(1.0, 1.0, 1.0, 0.1)
 
     def test_admm_ranges(self):
         ADMMConfig(max_inner=1)
@@ -56,9 +64,9 @@ class TestConfigs:
             ADMMConfig(max_inner=0)
 
     def test_descent_threshold(self):
-        cfg = PMMConfig(rho=10.0, beta=1.0, box_c=1.0, xi=0.1)
-        assert cfg.rho_threshold(2.0) == pytest.approx(2.5)
-        assert cfg.descent_margin(2.0) == pytest.approx((0.8 * 10 - 2.0) / 2)
+        cfg = PMMConfig(rho=10.0, beta=1.0, box_c=1.0)
+        assert cfg.rho_threshold(2.0) == pytest.approx(2.0 / (1 - 2 * solver.XI))
+        assert cfg.descent_margin(2.0) == pytest.approx(((1 - 2 * solver.XI) * 10 - 2.0) / 2)
 
 
 class TestObjective:
@@ -673,7 +681,7 @@ class TestPMMSolve:
         rng = np.random.default_rng(11)
         y = rng.standard_normal((3, 3, 2))
         loss = full_mask_loss(y)  # L = 1
-        cfg = PMMConfig(rho=0.5, beta=0.1, box_c=5.0, xi=0.1, max_outer=2)
+        cfg = PMMConfig(rho=0.5, beta=0.1, box_c=5.0, max_outer=2)
         with pytest.warns(RuntimeWarning, match="descent is not guaranteed"):
             _, trace = pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), np.zeros_like(y))
         assert not trace.descent_checked
@@ -724,6 +732,27 @@ class TestPMMSolve:
         with pytest.raises(NumericalDivergenceError) as excinfo:
             pmm_solve(BadLoss(), MCP, identity_transform(1), cfg, ADMMConfig(), np.zeros((2, 2, 1)))
         assert excinfo.value.trace is not None
+
+    def test_overflowing_exact_move_raises_before_its_svt(self, monkeypatch):
+        # rho * x overflows in the exact move's center v, and an SVD of infinite
+        # entries can loop inside LAPACK: the solve must stop before that SVD
+        _, y_obs, mask = synth_completion((6, 6, 2), 2, 0.4, 0.01, dct_transform(2), 0)
+        loss = CompletionLoss(y_obs, mask)
+        cfg = PMMConfig(rho=1e308, beta=1.0, box_c=1.05 * top.inf_norm(y_obs), max_outer=3)
+        real_svd, shapes = np.linalg.svd, []
+
+        def finite_only(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            assert np.all(np.isfinite(a)), "SVD of non-finite entries"
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", finite_only)
+        with np.errstate(over="ignore"), pytest.raises(NumericalDivergenceError) as excinfo:
+            pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), y_obs.copy())
+        trace = excinfo.value.trace
+        assert trace is not None and trace.descent_checked and trace.entries == []
+        # the starting point's factorization only: the move's svt never ran
+        assert shapes == [(2, 6, 6)]
 
     def test_descent_violation_error_carries_the_accepted_entries(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -867,7 +896,7 @@ class TestPMMSolve:
         u = dct_transform(dims[2])
         _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
         assume(mask.any() and top.inf_norm(y_obs) > 0)
-        threshold = CompletionLoss(y_obs, mask).lipschitz_constant() / (1 - 2 * PMMConfig.xi)
+        threshold = CompletionLoss(y_obs, mask).lipschitz_constant() / (1 - 2 * solver.XI)
         pen = drawn_penalty(kind_gamma, lam)
         _, info = run_completion(
             y_obs, mask, pen, beta, rho=rho_over_threshold * threshold,
@@ -987,7 +1016,7 @@ class TestLocalStepWeight:
         _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
         assume(mask.any() and top.inf_norm(y_obs) > 0)
         loss = CompletionLoss(y_obs, mask)
-        rho = rho_over_threshold * loss.lipschitz_constant() / (1 - 2 * PMMConfig.xi)
+        rho = rho_over_threshold * loss.lipschitz_constant() / (1 - 2 * solver.XI)
         cfg = PMMConfig(rho=rho, beta=beta, box_c=box_fraction * top.inf_norm(y_obs),
                         max_outer=40)
         pen = drawn_penalty(kind_gamma, lam)

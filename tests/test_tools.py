@@ -101,6 +101,28 @@ def test_against_rejects_a_tree_without_ttlearn(tmp_path, capsys):
     assert "no ttlearn package" in capsys.readouterr().err
 
 
+def test_a_command_past_the_timeout_is_reported_and_the_run_goes_on(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "ttlearn"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys, time\n"
+        "if 'hang' in sys.argv:\n"
+        "    print('started', flush=True)\n"
+        "    time.sleep(60)\n"
+        "sys.exit(3)\n"
+    )
+    tool = load_cli_digests()
+    monkeypatch.setattr(tool, "COMMANDS", [["hang"], ["quick"]])
+    monkeypatch.setattr(tool, "COMMAND_TIMEOUT_S", 1)
+    (first, _, hung, result), (second, _, quick, _) = tool.digests(tmp_path / "src")
+    assert (first, second) == (1, 2)
+    assert hung[:2] == ["exit timeout", "result none"]
+    assert "stdout " + tool.sha256(b"started\n") in hung
+    assert result is None
+    assert quick[0] == "exit 3"
+
+
 def test_stated_command_counts_match_the_command_list():
     tool = load_cli_digests()
     readme = (ROOT / "README.md").read_text()

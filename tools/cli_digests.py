@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 31 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 33 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
 
 Runs every command of ``COMMANDS`` in order as ``python -m ttlearn.cli``,
 with ttlearn imported from ``DIR`` (default: this checkout's ``src``), in
-one fresh temporary directory. For each command it prints the exit code,
+one fresh temporary directory. For each command it prints the exit code
+(``timeout`` for a command killed after ``COMMAND_TIMEOUT_S`` seconds),
 the SHA-256 of the result JSON without its top-level ``timing`` key (key
 order kept), of every file the command wrote or changed, and of standard
 output and standard error. In standard error the source location of a
@@ -115,7 +116,14 @@ COMMANDS = [
     ["complete", "--synthetic", "--dims", "10x10x3", "--rank", "1", "--sr", "0.6", "--seed", "1",
      "--lambda", "2", "--beta", "2", "--rho", "4", "--box-c", "3.5944134363242597",
      "--max-outer", "30"],
+    # rho * x overflows in the exact move's center, whose SVD could loop forever
+    [*SMALL, "--max-outer", "1", "--rho", "1e308"],
+    # a subnormal rho, whose 1/rho overflows, is rejected before any solve
+    [*SMALL, "--max-outer", "3", "--rho", "1e-320"],
 ]
+# seconds before a command is killed and reported as ``exit timeout``; the
+# slowest pinned command takes a few seconds
+COMMAND_TIMEOUT_S = 120
 _WARNING = re.compile(r"^.*\.py:\d+: (\w*Warning: .*)$")
 
 
@@ -163,10 +171,15 @@ def run_all(src: Path, work: Path):
     for index, argv in enumerate(COMMANDS, 1):
         results = f"result{index:02d}.json"
         before = snapshot(work)
-        done = subprocess.run(
-            [sys.executable, "-m", "ttlearn.cli", *argv, "--results", results],
-            cwd=work, env=env, capture_output=True,
-        )
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "ttlearn.cli", *argv, "--results", results],
+                cwd=work, env=env, capture_output=True, timeout=COMMAND_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired as expired:
+            done = subprocess.CompletedProcess(
+                expired.cmd, "timeout", expired.stdout or b"", expired.stderr or b""
+            )
         after = snapshot(work)
         result = load_result(work / results)
         lines = [f"exit {done.returncode}", f"result {result_digest(result)}"]
