@@ -35,12 +35,14 @@ subproblem's solution is the nearer start and ADMM warm-starts from it. The
 solve starts from ``x0`` projected onto the box.
 
 Above the threshold the proximal weight is local: each step has its own
-``rho_t``, seeded at ``rho`` and never above it. Below ``rho`` a step keeps
-only an exact move that lies in the box, meets the loss's quadratic upper
-model with weight ``rho_t`` (Beck & Teboulle, 2009) and gains on its model
-what an exact move provably does; otherwise ``rho_t`` doubles. At
-``rho_t = rho`` a step takes the path above. A step whose first trial is
-kept inside the box halves the next step's ``rho_t``.
+``rho_t``, seeded at ``rho`` and never above it. Below ``rho`` a trial is
+the exact move alone. Its loss must meet the quadratic upper model with
+weight ``rho_t`` (Beck & Teboulle, 2009). A move inside the box must also
+gain on its model what an exact move provably does. A move that binds the
+box is kept at its projected move when that meets ``tol_inner`` and its
+measured objective has fallen by ``(rho_t/2)||Delta||^2``. Otherwise
+``rho_t`` doubles. At ``rho_t = rho`` a step takes the path above. A step
+whose first trial is kept inside the box halves the next step's ``rho_t``.
 Below the threshold ``rho`` stays fixed and every step is one ADMM solve.
 """
 from __future__ import annotations
@@ -175,8 +177,9 @@ class TraceEntry:
     ``rho`` is the accepted step weight ``rho_t`` and ``trials`` the number of
     weights tried, each with its own exact move (one ADMM solve below the
     descent threshold, where ``rho_t`` is ``--rho``). ``inner_iterations``
-    counts those of the accepted trial, one for an exact step. ``exhausted``
-    says that ``max_inner`` ran out before the descent rule held.
+    counts those of the accepted trial, one for an exact step or a kept
+    projected move. ``exhausted`` says that ``max_inner`` ran out before the
+    descent rule held.
     """
 
     objective: float
@@ -196,10 +199,11 @@ class SolveTrace:
 
     ``descent_margin`` is the least ``a`` with
     ``F(x_{t+1}) + a ||x_{t+1} - x_t||^2 <= F(x_t)`` that every recorded step
-    provably meets (``rho/2`` before any step; 0 when not descent-checked);
-    :func:`pmm_solve` derives it. ``multi_rank`` is the final iterate's
-    per-slice rank, counted from the factors the solve holds; :meth:`to_dict`
-    leaves it out.
+    meets (``rho/2`` before any step; 0 when not descent-checked):
+    :func:`pmm_solve` derives it for exact steps and steps at ``rho`` and
+    measures it for projected moves kept below ``rho``. ``multi_rank`` is
+    the final iterate's per-slice rank, counted from the factors the solve
+    holds; :meth:`to_dict` leaves it out.
     """
 
     initial_objective: float
@@ -349,7 +353,10 @@ def admm_subproblem(
     entries (``rho * xt`` overflowed) is returned as is, as all three blocks
     with infinite residuals after one iteration, without the move's ``svt``:
     like any non-finite iterate, the caller reports it (:func:`pmm_solve`
-    raises :class:`NumericalDivergenceError`).
+    raises :class:`NumericalDivergenceError`). A finite ``v`` whose ``z*``
+    has a Frobenius norm that overflows (``rho`` near the float range times
+    the rounding of ``v - y*``) comes back as ``(v, y*, z*)`` with infinite
+    residuals, before :func:`kkt_residuals` squares ``z*``.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     # constant part of the x-update numerator
@@ -364,6 +371,11 @@ def admm_subproblem(
             return v, v, v, KKTResiduals(np.inf, np.inf, np.inf), 1
         m = svt(v, beta * pen.slope / rho, u, hint=hint)
         z = rho * (v - m)
+        with np.errstate(over="ignore"):
+            overflow = not np.isfinite(fro_norm(z))
+        if overflow:
+            # rho times the rounding of v - y*: the residuals' norm_z would overflow
+            return v, m, z, KKTResiduals(np.inf, np.inf, np.inf), 1
         slack = inf_norm(m) <= c
         # (y*, z*) fixes the x-update at project_box(y*)
         x = m if slack else project_box(m, c)
@@ -414,12 +426,19 @@ def pmm_solve(
     Below the descent threshold every step is one damped ADMM solve at the
     fixed ``rho``. Above it, each step has its own weight ``rho_t``, seeded
     at ``rho_0 = rho`` and never above ``rho``. A trial at ``rho_t < rho`` is
-    the exact move of :func:`admm_subproblem` alone (``max_inner`` 1). It is
-    kept when the move lies in the box, the loss meets the local check
+    the exact move of :func:`admm_subproblem` alone (``max_inner`` 1). Every
+    kept trial meets the local check
     ``f(y) <= f(x_t) + <grad f(x_t), y - x_t> + (rho_t/2)||y - x_t||^2``
-    (Beck & Teboulle, 2009) and ``gain <= -rho_t ||y - x_t||^2`` (plus 1e-9
-    slack; see below); otherwise ``rho_t`` becomes
-    ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
+    (Beck & Teboulle, 2009). A move inside the box is kept when it also
+    meets ``gain <= -rho_t ||y - x_t||^2`` (plus 1e-9 slack; see below). A
+    move that binds the box returns the projected move
+    ``y = project_box(y*)``; it is kept when it meets the inner stop test
+    ``eta_res <= tol_inner``, the local check, and
+    ``F(y) + (rho_t/2)||y - x_t||^2 <= F(x_t)`` (plus 1e-9), with ``F(y)``
+    from one :func:`~ttlearn.penalties.slice_svd` of ``y``. The two cheap
+    tests come first, so a trial that fails them makes no SVD; a kept
+    trial's factors and ``F(y)`` are the new iterate's. Otherwise ``rho_t``
+    becomes ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
     starts with the exact move and ADMM continues where the box binds; an
     output ``y`` is accepted only when
     ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2`` (plus 1e-9 slack, with
@@ -441,7 +460,9 @@ def pmm_solve(
     from the local check, or ``c = L <= rho`` at ``rho_t = rho``, it meets
     ``a_t = rho_t/2``. A truncated ``svt`` is only near the exact move, so
     the solve checks that bound on the gain and records ``rho_t/2`` only for
-    an exact step that meets it. Any other step at ``rho`` meets the descent
+    an exact step that meets it. No such bound covers a projected move below
+    ``rho``: its margin ``a_t = rho_t/2`` is measured, not derived, by the
+    test on ``F(y)`` that keeps it. Any other step at ``rho`` meets the descent
     rule ``gain <= (xi - 1/2) rho ||Delta||^2`` and ``c = L``, so
     ``a_t = ((1 - 2 xi) rho - L)/2`` (:meth:`PMMConfig.descent_margin`),
     unless ``max_inner`` ran out first (``exhausted``); then only the
@@ -452,7 +473,11 @@ def pmm_solve(
     ``svt`` left in the hint (truncated factors omit zero singular values,
     which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
     gets :func:`~ttlearn.penalties.slice_svd`. Its loss value serves both
-    the local check and the objective.
+    the local check and the objective. A failed trial's arrays and factors
+    are dropped before the next trial's SVD.
+    A multiplier ``z*`` whose norm overflows (``rho`` near the float range
+    times the rounding of ``v - y*``) raises
+    :class:`NumericalDivergenceError` before any residual is formed.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
@@ -500,20 +525,33 @@ def pmm_solve(
             )
             if not np.all(np.isfinite(x_new)):
                 raise NumericalDivergenceError("iterate contains non-finite entries", trace)
+            if not np.isfinite(residuals.eta_res):
+                raise NumericalDivergenceError("the subproblem's multiplier overflows", trace)
             delta = x_new - x
             if local:
-                # only an exact move inside the box (m itself) can meet the local check
-                kept = x_new is m
+                inside = x_new is m
+                # a binding move must meet the inner stop test that accepts it at rho
+                kept = inside or residuals.eta_res <= admm_cfg.tol_inner
                 if kept:
                     loss_new = loss.value(x_new)
                     square = fro_norm(delta) ** 2
                     kept = loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * square
                 if kept:
-                    factors = hint.factors if hint.factors is not None else slice_svd(x_new, u)
+                    reuse = inside and hint.factors is not None
+                    factors = hint.factors if reuse else slice_svd(x_new, u)
+                if kept and inside:
                     gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
                     # an exact svt gives gain <= -rho_t ||Delta||^2; a truncated one may not
                     kept = gain <= -rho_t * square + DESCENT_SLACK
+                if kept:
+                    new_objective, feasible = objective_value(
+                        x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
+                    )
+                    # no bound covers a projected move: its margin is measured
+                    kept = inside or new_objective + rho_t / 2 * square <= objective + DESCENT_SLACK
                 if not kept:
+                    # free the failed trial's arrays before the next trial's SVD
+                    x_new = m = z = delta = factors = None
                     rho_t = min(2 * rho_t, pmm_cfg.rho)
                     continue
             inner += steps
@@ -539,6 +577,9 @@ def pmm_solve(
             budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
         if not local:
             loss_new = loss.value(x_new)
+            new_objective, feasible = objective_value(
+                x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
+            )
 
         norm_x = fro_norm(x)
         if norm_x > 0:
@@ -546,15 +587,12 @@ def pmm_solve(
         else:
             rel_step = 0.0 if step_norm == 0 else float("inf")
 
-        new_objective, feasible = objective_value(
-            x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
-        )
         if descent_ok:
             if new_objective > objective + DESCENT_SLACK:
                 raise DescentViolationError(
                     f"objective increased by {new_objective - objective:.3e}", trace
                 )
-            if x_new is m and gain <= -rho_t * step_norm**2 + DESCENT_SLACK:
+            if local or (x_new is m and gain <= -rho_t * step_norm**2 + DESCENT_SLACK):
                 margin = rho_t / 2
             else:
                 margin = 0.0 if exhausted else pmm_cfg.descent_margin(lipschitz)

@@ -453,6 +453,25 @@ def test_overflowing_exact_move_exits_two_instead_of_hanging(extra, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho", ["1e200", "1e300", "1e307"])
+def test_overflowing_multiplier_exits_two_without_warnings(rho, tmp_path):
+    # v is finite, but the exact move's multiplier rho (v - y*) carries rho
+    # times v's rounding, whose square overflows the residuals' norm_z: the
+    # run used to exit 0 as converged after an overflow warning
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ttlearn.cli", "complete",
+         "--synthetic", "--dims", "6x6x2", "--max-outer", "3", "--rho", rho,
+         "--results", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "numerical divergence: the subproblem's multiplier overflows" in proc.stderr
+    assert not out.exists()
+
+
 def test_subnormal_rho_exits_one_before_solving(tmp_path, monkeypatch, capsys):
     # 1/rho overflows in the KKT residuals; the run used to exit 0 with a garbage fit
     def never(*args, **kwargs):

@@ -990,6 +990,25 @@ def fixed_rho_solve(loss, pen, u, cfg, admm, x0):
     return x, objectives
 
 
+def recorded_trials(monkeypatch):
+    """Wrap ``solver.admm_subproblem``; returns one list of trials per outer step.
+
+    Each trial is ``(xt, grad_f, rho_t, output)``, ``output`` being the call's
+    ``(x, m, z, residuals, iterations)``; a step's last trial is the kept one.
+    """
+    real_subproblem, steps = solver.admm_subproblem, []
+
+    def recorded(xt, grad_f, *args, **kwargs):
+        out = real_subproblem(xt, grad_f, *args, **kwargs)
+        if not steps or steps[-1][0][0] is not xt:
+            steps.append([])
+        steps[-1].append((xt, grad_f, args[3].rho, out))
+        return out
+
+    monkeypatch.setattr(solver, "admm_subproblem", recorded)
+    return steps
+
+
 class TestLocalStepWeight:
     """Above the descent threshold each step backtracks its own weight rho_t <= rho."""
 
@@ -1056,7 +1075,7 @@ class TestLocalStepWeight:
     def test_a_binding_move_below_rho_is_retried_at_twice_the_weight(self, monkeypatch):
         # a box just inside the observed peak: steps kept inside the box halve
         # the next step's rho_t, and a trial below rho whose move binds the
-        # box (comes back off m) is retried at min(2 rho_t, rho)
+        # box (comes back off m) and fails a check is retried at min(2 rho_t, rho)
         u = dct_transform(2)
         _, y_obs, mask = synth_completion((8, 8, 2), 1, 0.6, 0.01, u, seed=2)
         loss = CompletionLoss(y_obs, mask)
@@ -1087,6 +1106,103 @@ class TestLocalStepWeight:
             kept_first_inside = calls == [(rho_t, 1 if rho_t < cfg.rho else 100, True, True)]
             rho_t = entry.rho / 2 if kept_first_inside else entry.rho
         assert retried > 0
+
+    @settings(max_examples=40)
+    @given(
+        dims=st.tuples(st.integers(2, 10), st.integers(2, 10), st.integers(1, 4)),
+        rank=st.integers(1, 2),
+        sr=st.floats(0.3, 0.9),
+        kind_gamma=KIND_GAMMA,
+        lam=st.floats(0.5, 4.0),
+        beta=st.floats(0.5, 3.0),
+        rho_over_threshold=st.floats(1.05, 4.0),
+        box_fraction=st.floats(0.3, 1.05),
+        tol_inner=st.sampled_from([3e-4, 1e-3, 3e-3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_binding_move_kept_below_rho_meets_its_three_checks(
+        self, dims, rank, sr, kind_gamma, lam, beta, rho_over_threshold, box_fraction,
+        tol_inner, seed,
+    ):
+        u = dct_transform(dims[2])
+        _, y_obs, mask = synth_completion(dims, rank, sr, 0.01, u, seed)
+        assume(mask.any() and top.inf_norm(y_obs) > 0)
+        loss = CompletionLoss(y_obs, mask)
+        rho = rho_over_threshold * loss.lipschitz_constant() / (1 - 2 * solver.XI)
+        cfg = PMMConfig(rho=rho, beta=beta, box_c=box_fraction * top.inf_norm(y_obs),
+                        max_outer=40)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            steps = recorded_trials(monkeypatch)
+            _, trace = pmm_solve(loss, drawn_penalty(kind_gamma, lam), u, cfg,
+                                 ADMMConfig(tol_inner=tol_inner), y_obs)
+        assert len(steps) == len(trace.entries)
+        objectives = trace.objectives()
+        for t, (trials, entry) in enumerate(zip(steps, trace.entries)):
+            xt, grad_f, rho_t, (y, m, _, residuals, _) = trials[-1]
+            if rho_t == rho or y is m:
+                continue
+            # the inner stop test, the local check and the measured margin rho_t/2
+            assert entry.rho == rho_t < rho
+            assert residuals.eta_res <= tol_inner
+            delta = y - xt
+            square = top.fro_norm(delta) ** 2
+            assert loss.value(y) <= loss.value(xt) + np.vdot(grad_f, delta) + rho_t / 2 * square
+            assert objectives[t + 1] + rho_t / 2 * entry.step_norm**2 <= objectives[t] + 1e-9
+
+    def test_a_binding_trial_that_fails_a_cheap_check_costs_no_slice_svd(self, monkeypatch):
+        # complete-small's MCP solve: its binding trials below rho fail the local
+        # check, so only the measured check of a kept move pays a factorization
+        u = dct_transform(10)
+        _, y_obs, mask = synth_completion((30, 30, 10), 2, 0.4, 0.01, u, seed=0)
+        loss = CompletionLoss(y_obs, mask)
+        cfg = PMMConfig(rho=6.0, beta=1.0, box_c=1.05 * top.inf_norm(y_obs))
+        admm = ADMMConfig(tol_inner=3e-4)
+        real_subproblem, real_slice_svd, events = solver.admm_subproblem, solver.slice_svd, []
+
+        def recorded(xt, grad_f, *args, **kwargs):
+            out = real_subproblem(xt, grad_f, *args, **kwargs)
+            y, m, _, residuals, _ = out
+            rho_t = args[3].rho
+            fails = False
+            if rho_t < cfg.rho and y is not m:
+                delta = y - xt
+                square = top.fro_norm(delta) ** 2
+                model = loss.value(xt) + np.vdot(grad_f, delta) + rho_t / 2 * square
+                fails = residuals.eta_res > admm.tol_inner or loss.value(y) > model
+            events.append("failed" if fails else "trial")
+            return out
+
+        def counted(*args, **kwargs):
+            events.append("slice_svd")
+            return real_slice_svd(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "admm_subproblem", recorded)
+        monkeypatch.setattr(solver, "slice_svd", counted)
+        _, trace = pmm_solve(loss, Penalty("mcp", lam=4.0, gamma=2.7), u, cfg, admm, y_obs)
+        assert trace.converged
+        failed = [i for i, event in enumerate(events) if event == "failed"]
+        assert len(failed) >= 2
+        # a failed trial is never the step's last: the next trial follows it at once
+        assert all(events[i + 1] in ("trial", "failed") for i in failed)
+
+    def test_binding_moves_below_rho_are_kept_on_a_40x40x4_completion(self, monkeypatch):
+        # the pinned 40x40x4 command of tools/cli_digests.py: moves that bind the
+        # box below rho are kept at their projected move when their measured
+        # objective meets the margin rho_t/2
+        u = dct_transform(4)
+        _, y_obs, mask = synth_completion((40, 40, 4), 3, 0.6, 0.01, u, seed=0)
+        loss = CompletionLoss(y_obs, mask)
+        cfg = PMMConfig(rho=3.0, beta=2.0, box_c=1.05 * top.inf_norm(y_obs))
+        steps = recorded_trials(monkeypatch)
+        _, trace = pmm_solve(loss, Penalty("mcp", lam=8.0, gamma=2.7), u, cfg,
+                             ADMMConfig(tol_inner=3e-4), y_obs)
+        assert trace.converged and len(steps) == len(trace.entries)
+        kept = [entry for trials, entry in zip(steps, trace.entries)
+                if trials[-1][2] < cfg.rho and trials[-1][3][0] is not trials[-1][3][1]]
+        assert kept and all(entry.rho < cfg.rho and entry.inner_iterations == 1 for entry in kept)
+        a, objectives = trace.descent_margin, trace.objectives()
+        for t, entry in enumerate(trace.entries):
+            assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + DESCENT_SLACK
 
     def test_the_stop_lies_within_a_few_tol_of_the_limit(self):
         # TestPMMSolve::test_step_norms_plateau_near_convergence with a slack

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 33 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 34 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -120,6 +120,9 @@ COMMANDS = [
     [*SMALL, "--max-outer", "1", "--rho", "1e308"],
     # a subnormal rho, whose 1/rho overflows, is rejected before any solve
     [*SMALL, "--max-outer", "3", "--rho", "1e-320"],
+    # moves below rho that bind the box are kept at their projected move
+    ["complete", "--synthetic", "--dims", "40x40x4", "--rank", "3", "--sr", "0.6", "--seed", "0",
+     "--lambda", "8", "--beta", "2", "--rho", "3", "--tol-inner", "3e-4"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
