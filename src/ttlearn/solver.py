@@ -34,16 +34,9 @@ by more than the last outer step moved the iterate; then the previous
 subproblem's solution is the nearer start and ADMM warm-starts from it. The
 solve starts from ``x0`` projected onto the box.
 
-Above the threshold the proximal weight is local: each step has its own
-``rho_t``, seeded at ``rho`` and never above it. Below ``rho`` a trial is
-the exact move alone. Its loss must meet the quadratic upper model with
-weight ``rho_t`` (Beck & Teboulle, 2009). A move inside the box must also
-gain on its model what an exact move provably does. A move that binds the
-box is kept at its projected move when that meets ``tol_inner`` and its
-measured objective has fallen by ``(rho_t/2)||Delta||^2``. Otherwise
-``rho_t`` doubles. At ``rho_t = rho`` a step takes the path above. A step
-whose first trial is kept inside the box halves the next step's ``rho_t``.
-Below the threshold ``rho`` stays fixed and every step is one ADMM solve.
+Above the threshold each step backtracks its own proximal weight
+``rho_t <= rho`` (Beck & Teboulle, 2009); below it ``rho`` stays fixed and
+every step is one damped ADMM solve. :func:`pmm_solve` gives the rules.
 """
 from __future__ import annotations
 
@@ -405,6 +398,23 @@ def admm_subproblem(
     return x, m, z, residuals, iterations
 
 
+class _Step(NamedTuple):
+    """An accepted outer step of :func:`pmm_solve`, with the margin ``a_t`` it provably meets."""
+
+    x: np.ndarray
+    m: np.ndarray
+    z: np.ndarray
+    factors: tuple
+    loss: float
+    objective: float
+    feasible: bool
+    step_norm: float
+    kkt_residual: float
+    inner: int
+    margin: float
+    exhausted: bool = False
+
+
 def pmm_solve(
     loss,
     pen: Penalty,
@@ -423,61 +433,26 @@ def pmm_solve(
     iterations and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the
     solve.
 
-    Below the descent threshold every step is one damped ADMM solve at the
-    fixed ``rho``. Above it, each step has its own weight ``rho_t``, seeded
-    at ``rho_0 = rho`` and never above ``rho``. A trial at ``rho_t < rho`` is
-    the exact move of :func:`admm_subproblem` alone (``max_inner`` 1). Every
-    kept trial meets the local check
-    ``f(y) <= f(x_t) + <grad f(x_t), y - x_t> + (rho_t/2)||y - x_t||^2``
-    (Beck & Teboulle, 2009). A move inside the box is kept when it also
-    meets ``gain <= -rho_t ||y - x_t||^2`` (plus 1e-9 slack; see below). A
-    move that binds the box returns the projected move
-    ``y = project_box(y*)``; it is kept when it meets the inner stop test
-    ``eta_res <= tol_inner``, the local check, and
-    ``F(y) + (rho_t/2)||y - x_t||^2 <= F(x_t)`` (plus 1e-9), with ``F(y)``
-    from one :func:`~ttlearn.penalties.slice_svd` of ``y``. The two cheap
-    tests come first, so a trial that fails them makes no SVD; a kept
-    trial's factors and ``F(y)`` are the new iterate's. Otherwise ``rho_t``
-    becomes ``min(2 rho_t, rho)`` and the step tries again. At ``rho_t = rho`` a step
-    starts with the exact move and ADMM continues where the box binds; an
-    output ``y`` is accepted only when
-    ``Phi_t(y) - F(x_t) <= xi * rho * ||y - x_t||^2`` (plus 1e-9 slack, with
-    ``xi`` = :data:`XI` = 0.1),
-    otherwise ADMM resumes where it stopped, within what is left of
-    ``max_inner``. The next step starts at ``rho_t/2`` when this step kept
-    its first trial inside the box, else at ``rho_t``. Every step is then
-    asserted to not increase the objective (beyond the same slack).
-
-    ``descent_margin`` is the least margin ``a_t`` in
-    ``F(x_{t+1}) + a_t ||x_{t+1} - x_t||^2 <= F(x_t)`` that a recorded step
-    provably meets. With ``Delta = y - x_t`` and ``gain`` as below,
-    ``F(y) <= F(x_t) + gain + (c/2)||Delta||^2`` whenever
-    ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (c/2)||Delta||^2``, because
-    ``S2`` is convex, so its linearization at ``x_t`` minorizes it. An exact
-    step minimizes
-    the ``rho_t``-strongly convex model ``gain + (rho_t/2)||Delta||^2``, whose
-    value at ``x_t`` is 0, so ``gain <= -rho_t ||Delta||^2``; with ``c = rho_t``
-    from the local check, or ``c = L <= rho`` at ``rho_t = rho``, it meets
-    ``a_t = rho_t/2``. A truncated ``svt`` is only near the exact move, so
-    the solve checks that bound on the gain and records ``rho_t/2`` only for
-    an exact step that meets it. No such bound covers a projected move below
-    ``rho``: its margin ``a_t = rho_t/2`` is measured, not derived, by the
-    test on ``F(y)`` that keeps it. Any other step at ``rho`` meets the descent
-    rule ``gain <= (xi - 1/2) rho ||Delta||^2`` and ``c = L``, so
-    ``a_t = ((1 - 2 xi) rho - L)/2`` (:meth:`PMMConfig.descent_margin`),
-    unless ``max_inner`` ran out first (``exhausted``); then only the
-    monotone assertion holds and ``a_t = 0``.
+    A step takes one of three paths, each with its own rule and margin:
+    ``damped_step`` below the descent threshold, where ``rho`` stays fixed;
+    above it, ``trial_step`` at ``rho_t < rho`` and ``step_at_rho``. Each
+    step's ``rho_t`` is seeded at ``rho_0 = rho``; a rejected trial retries at
+    ``min(2 rho_t, rho)``, and a first trial kept inside the box halves the
+    next step's ``rho_t``. Above the threshold no step may raise the
+    objective (beyond 1e-9), and ``descent_margin`` is the least ``a_t`` in
+    ``F(x_{t+1}) + a_t ||x_{t+1} - x_t||^2 <= F(x_t)``. With ``Delta = y - x_t``
+    and ``gain = <slope, Delta> + weight * (||y||_* - ||x_t||_*)``,
+    ``Phi_t(y) - F(x_t) = gain + (rho_t/2)||Delta||^2``, and the convex ``S2``
+    lies above its linearization, so ``F(y) <= F(x_t) + gain + (c/2)||Delta||^2``
+    whenever ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (c/2)||Delta||^2``.
 
     Every new iterate is factorized once, for its nuclear norm, its objective
-    and the next smooth-part gradient: an exact step reuses the factors its
+    and the next smooth-part gradient: an exact move reuses the factors its
     ``svt`` left in the hint (truncated factors omit zero singular values,
     which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
-    gets :func:`~ttlearn.penalties.slice_svd`. Its loss value serves both
-    the local check and the objective. A failed trial's arrays and factors
-    are dropped before the next trial's SVD.
-    A multiplier ``z*`` whose norm overflows (``rho`` near the float range
-    times the rounding of ``v - y*``) raises
-    :class:`NumericalDivergenceError` before any residual is formed.
+    gets :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate or a
+    multiplier ``z*`` whose norm overflows (``rho`` near the float range
+    times the rounding of ``v - y*``) raises :class:`NumericalDivergenceError`.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
@@ -506,114 +481,139 @@ def pmm_solve(
     step_norm = np.inf
     rho_t = pmm_cfg.rho
 
+    def subproblem(cfg, budget, start, exact, terms):
+        out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start,
+                              hint=hint, exact=exact, warm_error=step_norm, terms=terms)
+        if not np.all(np.isfinite(out[0])):
+            raise NumericalDivergenceError("iterate contains non-finite entries", trace)
+        if not np.isfinite(out[3].eta_res):
+            raise NumericalDivergenceError("the subproblem's multiplier overflows", trace)
+        return out
+
+    def factorize(x_new, m):
+        # only an exact move inside the box returns m itself, whose factors svt left in the hint
+        return hint.factors if x_new is m and hint.factors is not None else slice_svd(x_new, u)
+
+    def gain(terms, delta, new_factors):
+        return np.vdot(terms.slope, delta) + weight * (new_factors[1].sum() - nuclear)
+
+    def accept(x_new, m, z, new_factors, loss_new, norm, residuals, inner, margin, exhausted=False):
+        new_objective, feasible = objective_value(
+            x_new, loss, pen, u, pmm_cfg, new_factors, loss_value=loss_new
+        )
+        return _Step(x_new, m, z, new_factors, loss_new, new_objective, feasible, norm,
+                     residuals.eta_res, inner, margin, exhausted)
+
+    def damped_step():
+        """One damped ADMM solve at the fixed ``rho``; nothing certifies it, so its margin is 0."""
+        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
+        x_new, m, z, residuals, inner = subproblem(pmm_cfg, admm_cfg, warm, False, terms)
+        return accept(x_new, m, z, slice_svd(x_new, u), loss.value(x_new),
+                      fro_norm(x_new - x), residuals, inner, 0.0)
+
+    def trial_step(rho_t):
+        """The exact move of :func:`admm_subproblem` alone at ``rho_t < rho``, or ``None``.
+
+        A kept trial meets the local check
+        ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (rho_t/2)||Delta||^2``
+        (Beck & Teboulle, 2009), so ``c = rho_t``. An exact move inside the
+        box minimizes the ``rho_t``-strongly convex model
+        ``gain + (rho_t/2)||Delta||^2``, which is 0 at ``x_t``, so
+        ``gain <= -rho_t ||Delta||^2`` and ``a_t = rho_t/2``; a truncated
+        ``svt`` is only near the exact move, so that bound is checked (plus
+        1e-9). A move that binds the box returns ``y = project_box(y*)``,
+        which no bound covers: it is kept when it meets the inner stop test,
+        the local check, and ``F(y) + (rho_t/2)||Delta||^2 <= F(x_t)`` (plus
+        1e-9), so its ``a_t = rho_t/2`` is measured. The two cheap tests come
+        first, so a trial that fails them makes no SVD.
+        """
+        cfg_t = replace(pmm_cfg, rho=rho_t)
+        terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
+        one_move = replace(admm_cfg, max_inner=1)
+        x_new, m, z, residuals, inner = subproblem(cfg_t, one_move, warm, True, terms)
+        inside = x_new is m
+        # a binding move must meet the inner stop test that accepts it at rho
+        if not (inside or residuals.eta_res <= admm_cfg.tol_inner):
+            return None
+        delta = x_new - x
+        norm = fro_norm(delta)
+        loss_new = loss.value(x_new)
+        if not loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * norm**2:
+            return None
+        new_factors = factorize(x_new, m)
+        if inside and not gain(terms, delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
+            return None
+        step = accept(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
+        measured = step.objective + rho_t / 2 * norm**2 <= objective + DESCENT_SLACK
+        return step if inside or measured else None
+
+    def step_at_rho():
+        """The exact move, then ADMM where the box binds, under the descent rule.
+
+        An output is accepted when ``gain <= (xi - 1/2) rho ||Delta||^2``
+        (plus 1e-9, ``xi`` = :data:`XI`), i.e.
+        ``Phi_t(y) - F(x_t) <= xi * rho * ||Delta||^2``; otherwise ADMM
+        resumes where it stopped, within what is left of ``max_inner``. With
+        ``c = L`` the rule gives ``a_t = ((1 - 2 xi) rho - L)/2``
+        (:meth:`PMMConfig.descent_margin`), and an exact move that meets
+        ``gain <= -rho ||Delta||^2`` gets ``rho/2`` as in ``trial_step``. A
+        step whose ``max_inner`` runs out first is ``exhausted``: only the
+        monotone assertion holds, and ``a_t = 0``.
+        """
+        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
+        budget, start, inner = admm_cfg, warm, 0
+        while True:
+            x_new, m, z, residuals, steps = subproblem(pmm_cfg, budget, start, inner == 0, terms)
+            inner += steps
+            delta = x_new - x
+            norm = fro_norm(delta)
+            new_factors = factorize(x_new, m)
+            step_gain = gain(terms, delta, new_factors)
+            if step_gain <= (XI - 0.5) * pmm_cfg.rho * norm**2 + DESCENT_SLACK:
+                break
+            if inner >= admm_cfg.max_inner:
+                return accept(x_new, m, z, new_factors, loss.value(x_new), norm, residuals,
+                              inner, 0.0, exhausted=True)
+            budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
+            start = (m, x_new, z)
+        exact = x_new is m and step_gain <= -pmm_cfg.rho * norm**2 + DESCENT_SLACK
+        margin = pmm_cfg.rho / 2 if exact else pmm_cfg.descent_margin(lipschitz)
+        return accept(x_new, m, z, new_factors, loss.value(x_new), norm, residuals, inner, margin)
+
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
         grad_s2 = dc_smooth_grad(x, u, pen, factors)
         nuclear = factors[1].sum()
-        trials = inner = 0
-        exhausted = False
-        while True:
-            local = descent_ok and rho_t < pmm_cfg.rho
-            if inner == 0:
-                trials += 1
-                cfg_t = replace(pmm_cfg, rho=rho_t) if local else pmm_cfg
-                terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
-                budget = replace(admm_cfg, max_inner=1) if local else admm_cfg
-            x_new, m, z, residuals, steps = admm_subproblem(
-                x, grad_f, grad_s2, pen, u, cfg_t, budget, warm,
-                hint=hint, exact=descent_ok and inner == 0, warm_error=step_norm, terms=terms,
-            )
-            if not np.all(np.isfinite(x_new)):
-                raise NumericalDivergenceError("iterate contains non-finite entries", trace)
-            if not np.isfinite(residuals.eta_res):
-                raise NumericalDivergenceError("the subproblem's multiplier overflows", trace)
-            delta = x_new - x
-            if local:
-                inside = x_new is m
-                # a binding move must meet the inner stop test that accepts it at rho
-                kept = inside or residuals.eta_res <= admm_cfg.tol_inner
-                if kept:
-                    loss_new = loss.value(x_new)
-                    square = fro_norm(delta) ** 2
-                    kept = loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * square
-                if kept:
-                    reuse = inside and hint.factors is not None
-                    factors = hint.factors if reuse else slice_svd(x_new, u)
-                if kept and inside:
-                    gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
-                    # an exact svt gives gain <= -rho_t ||Delta||^2; a truncated one may not
-                    kept = gain <= -rho_t * square + DESCENT_SLACK
-                if kept:
-                    new_objective, feasible = objective_value(
-                        x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
-                    )
-                    # no bound covers a projected move: its margin is measured
-                    kept = inside or new_objective + rho_t / 2 * square <= objective + DESCENT_SLACK
-                if not kept:
-                    # free the failed trial's arrays before the next trial's SVD
-                    x_new = m = z = delta = factors = None
-                    rho_t = min(2 * rho_t, pmm_cfg.rho)
-                    continue
-            inner += steps
-            warm = (m, x_new, z)
-            step_norm = fro_norm(delta)
-            if local:
+        trials = 1
+        while descent_ok and rho_t < pmm_cfg.rho:
+            step = trial_step(rho_t)
+            if step is not None:
                 break
-            # only an exact step returns m itself, whose factors svt left in the hint
-            if x_new is m and hint.factors is not None:
-                factors = hint.factors
-            else:
-                factors = slice_svd(x_new, u)
-            if not descent_ok:
-                break
-            # Phi_t(y) - F(x_t) is (rho/2)||y - x_t||^2 plus the gain
-            # <slope, y - x_t> + weight * (||y||_* - ||x_t||_*)
-            gain = np.vdot(terms.slope, delta) + weight * (factors[1].sum() - nuclear)
-            if gain <= (XI - 0.5) * pmm_cfg.rho * step_norm**2 + DESCENT_SLACK:
-                break
-            if inner >= admm_cfg.max_inner:
-                exhausted = True
-                break
-            budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
-        if not local:
-            loss_new = loss.value(x_new)
-            new_objective, feasible = objective_value(
-                x_new, loss, pen, u, pmm_cfg, factors, loss_value=loss_new
-            )
+            rho_t = min(2 * rho_t, pmm_cfg.rho)
+            trials += 1
+        else:
+            step = step_at_rho() if descent_ok else damped_step()
 
         norm_x = fro_norm(x)
         if norm_x > 0:
-            rel_step = step_norm / norm_x
+            rel_step = step.step_norm / norm_x
         else:
-            rel_step = 0.0 if step_norm == 0 else float("inf")
-
-        if descent_ok:
-            if new_objective > objective + DESCENT_SLACK:
-                raise DescentViolationError(
-                    f"objective increased by {new_objective - objective:.3e}", trace
-                )
-            if local or (x_new is m and gain <= -rho_t * step_norm**2 + DESCENT_SLACK):
-                margin = rho_t / 2
-            else:
-                margin = 0.0 if exhausted else pmm_cfg.descent_margin(lipschitz)
-            trace.descent_margin = min(trace.descent_margin, margin)
-        trace.entries.append(
-            TraceEntry(
-                objective=new_objective,
-                step_norm=step_norm,
-                rel_step=rel_step,
-                inner_iterations=inner,
-                kkt_residual=residuals.eta_res,
-                feasible=feasible,
-                rho=rho_t,
-                trials=trials,
-                exhausted=exhausted,
-            )
-        )
-        # a first trial kept inside the box: the next step tries half the weight
-        if descent_ok and trials == 1 and x_new is m:
+            rel_step = 0.0 if step.step_norm == 0 else float("inf")
+        if descent_ok and step.objective > objective + DESCENT_SLACK:
+            increase = step.objective - objective
+            raise DescentViolationError(f"objective increased by {increase:.3e}", trace)
+        trace.descent_margin = min(trace.descent_margin, step.margin)
+        trace.entries.append(TraceEntry(
+            objective=step.objective, step_norm=step.step_norm, rel_step=rel_step,
+            inner_iterations=step.inner, kkt_residual=step.kkt_residual, feasible=step.feasible,
+            rho=rho_t, trials=trials, exhausted=step.exhausted,
+        ))
+        # an exact move kept inside the box at the first trial (a damped step
+        # never returns m itself): the next step tries half the weight
+        if trials == 1 and step.x is step.m:
             rho_t /= 2
-        x, objective, loss_x = x_new, new_objective, loss_new
+        x, factors, loss_x, objective = step.x, step.factors, step.loss, step.objective
+        warm, step_norm = (step.m, step.x, step.z), step.step_norm
         if rel_step <= pmm_cfg.tol_outer:
             trace.converged = True
             break
