@@ -352,8 +352,10 @@ def admm_subproblem(
     residuals, before :func:`kkt_residuals` squares ``z*``.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
-    # constant part of the x-update numerator
-    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    # constant part of the x-update numerator; a rho * xt that overflows leaves a
+    # non-finite v, which the exact branch returns for the caller to report
+    with np.errstate(over="ignore"):
+        drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     if terms is None:
         terms = subproblem_terms(xt, grad_f_xt, grad_s2_xt, pmm_cfg)
     first = 1
@@ -399,7 +401,7 @@ def admm_subproblem(
 
 
 class _Step(NamedTuple):
-    """An accepted outer step of :func:`pmm_solve`, with the margin ``a_t`` it provably meets."""
+    """A step's new iterate and record in :func:`pmm_solve`, with the margin ``a_t`` it meets."""
 
     x: np.ndarray
     m: np.ndarray
@@ -450,20 +452,19 @@ def pmm_solve(
     and the next smooth-part gradient: an exact move reuses the factors its
     ``svt`` left in the hint (truncated factors omit zero singular values,
     which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
-    gets :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate or a
-    multiplier ``z*`` whose norm overflows (``rho`` near the float range
-    times the rounding of ``v - y*``) raises :class:`NumericalDivergenceError`.
+    gets :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate, a
+    multiplier ``z*`` whose norm overflows (``rho`` near the float range times
+    the rounding of ``v - y*``) or an SVD of :func:`admm_subproblem` that
+    fails (``LinAlgError``) raises :class:`NumericalDivergenceError`.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
     lipschitz = loss.lipschitz_constant()
     descent_ok = pmm_cfg.rho > pmm_cfg.rho_threshold(lipschitz)
     if not descent_ok:
-        warnings.warn(
-            f"rho={pmm_cfg.rho:g} does not exceed L/(1-2*xi)="
-            f"{pmm_cfg.rho_threshold(lipschitz):g}; descent is not guaranteed",
-            RuntimeWarning,
-        )
+        threshold = pmm_cfg.rho_threshold(lipschitz)
+        warnings.warn(f"rho={pmm_cfg.rho:g} does not exceed L/(1-2*xi)={threshold:g}; "
+                      "descent is not guaranteed", RuntimeWarning)
 
     factors = slice_svd(x, u)
     loss_x = loss.value(x)
@@ -482,8 +483,11 @@ def pmm_solve(
     rho_t = pmm_cfg.rho
 
     def subproblem(cfg, budget, start, exact, terms):
-        out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start,
-                              hint=hint, exact=exact, warm_error=step_norm, terms=terms)
+        try:
+            out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start,
+                                  hint=hint, exact=exact, warm_error=step_norm, terms=terms)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDivergenceError(f"the subproblem's SVD failed: {exc}", trace) from exc
         if not np.all(np.isfinite(out[0])):
             raise NumericalDivergenceError("iterate contains non-finite entries", trace)
         if not np.isfinite(out[3].eta_res):
@@ -497,10 +501,9 @@ def pmm_solve(
     def gain(terms, delta, new_factors):
         return np.vdot(terms.slope, delta) + weight * (new_factors[1].sum() - nuclear)
 
-    def accept(x_new, m, z, new_factors, loss_new, norm, residuals, inner, margin, exhausted=False):
-        new_objective, feasible = objective_value(
-            x_new, loss, pen, u, pmm_cfg, new_factors, loss_value=loss_new
-        )
+    def record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, margin, exhausted=False):
+        new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg, new_factors,
+                                                  loss_value=loss_new)
         return _Step(x_new, m, z, new_factors, loss_new, new_objective, feasible, norm,
                      residuals.eta_res, inner, margin, exhausted)
 
@@ -508,24 +511,22 @@ def pmm_solve(
         """One damped ADMM solve at the fixed ``rho``; nothing certifies it, so its margin is 0."""
         terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
         x_new, m, z, residuals, inner = subproblem(pmm_cfg, admm_cfg, warm, False, terms)
-        return accept(x_new, m, z, slice_svd(x_new, u), loss.value(x_new),
+        return record(x_new, m, z, slice_svd(x_new, u), loss.value(x_new),
                       fro_norm(x_new - x), residuals, inner, 0.0)
 
     def trial_step(rho_t):
         """The exact move of :func:`admm_subproblem` alone at ``rho_t < rho``, or ``None``.
 
-        A kept trial meets the local check
-        ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (rho_t/2)||Delta||^2``
-        (Beck & Teboulle, 2009), so ``c = rho_t``. An exact move inside the
-        box minimizes the ``rho_t``-strongly convex model
-        ``gain + (rho_t/2)||Delta||^2``, which is 0 at ``x_t``, so
+        A kept trial meets the local check (Beck & Teboulle, 2009)
+        ``f(y) <= f(x_t) + <grad f(x_t), Delta> + (rho_t/2)||Delta||^2``, so
+        ``c = rho_t``. An exact move inside the box minimizes the strongly
+        convex model ``gain + (rho_t/2)||Delta||^2``, 0 at ``x_t``, so
         ``gain <= -rho_t ||Delta||^2`` and ``a_t = rho_t/2``; a truncated
         ``svt`` is only near the exact move, so that bound is checked (plus
-        1e-9). A move that binds the box returns ``y = project_box(y*)``,
-        which no bound covers: it is kept when it meets the inner stop test,
-        the local check, and ``F(y) + (rho_t/2)||Delta||^2 <= F(x_t)`` (plus
-        1e-9), so its ``a_t = rho_t/2`` is measured. The two cheap tests come
-        first, so a trial that fails them makes no SVD.
+        1e-9). A move that binds the box returns ``y = project_box(y*)``, which
+        no bound covers: it is kept when it meets the inner stop test, the
+        local check and ``F(y) + (rho_t/2)||Delta||^2 <= F(x_t)`` (plus 1e-9),
+        so its ``a_t = rho_t/2`` is measured. The cheap tests come first.
         """
         cfg_t = replace(pmm_cfg, rho=rho_t)
         terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
@@ -543,7 +544,7 @@ def pmm_solve(
         new_factors = factorize(x_new, m)
         if inside and not gain(terms, delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
             return None
-        step = accept(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
+        step = record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
         measured = step.objective + rho_t / 2 * norm**2 <= objective + DESCENT_SLACK
         return step if inside or measured else None
 
@@ -572,13 +573,13 @@ def pmm_solve(
             if step_gain <= (XI - 0.5) * pmm_cfg.rho * norm**2 + DESCENT_SLACK:
                 break
             if inner >= admm_cfg.max_inner:
-                return accept(x_new, m, z, new_factors, loss.value(x_new), norm, residuals,
+                return record(x_new, m, z, new_factors, loss.value(x_new), norm, residuals,
                               inner, 0.0, exhausted=True)
             budget = replace(admm_cfg, max_inner=admm_cfg.max_inner - inner)
             start = (m, x_new, z)
         exact = x_new is m and step_gain <= -pmm_cfg.rho * norm**2 + DESCENT_SLACK
         margin = pmm_cfg.rho / 2 if exact else pmm_cfg.descent_margin(lipschitz)
-        return accept(x_new, m, z, new_factors, loss.value(x_new), norm, residuals, inner, margin)
+        return record(x_new, m, z, new_factors, loss.value(x_new), norm, residuals, inner, margin)
 
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
@@ -606,8 +607,7 @@ def pmm_solve(
         trace.entries.append(TraceEntry(
             objective=step.objective, step_norm=step.step_norm, rel_step=rel_step,
             inner_iterations=step.inner, kkt_residual=step.kkt_residual, feasible=step.feasible,
-            rho=rho_t, trials=trials, exhausted=step.exhausted,
-        ))
+            rho=rho_t, trials=trials, exhausted=step.exhausted))
         # an exact move kept inside the box at the first trial (a damped step
         # never returns m itself): the next step tries half the weight
         if trials == 1 and step.x is step.m:

@@ -472,6 +472,45 @@ def test_overflowing_multiplier_exits_two_without_warnings(rho, tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_exact_move_exits_two_without_warnings(tmp_path):
+    # rho * x overflows in the exact move's center v, which the solve reports
+    # as divergence; the overflow's warning used to end in a traceback here
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "ttlearn.cli", "complete",
+         "--synthetic", "--dims", "6x6x2", "--max-outer", "1", "--rho", "1e308",
+         "--results", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert "numerical divergence: iterate contains non-finite entries" in proc.stderr
+    assert not out.exists()
+
+
+def test_overflowing_damped_admm_exits_two(tmp_path):
+    # observations near the float range: below the descent threshold the
+    # damped ADMM's multiplier overflows and the m-update's SVD fails with
+    # LinAlgError, a ValueError the run used to report as an input error (exit 1)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((6, 6, 2)) * 1e307
+    mask = rng.random((6, 6, 2)) < 0.6
+    write_tensor(tmp_path / "obs.tns", np.where(mask, y, 0.0))
+    write_tensor(tmp_path / "mask.tns", mask.astype(float))
+    out = tmp_path / "out.json"
+    proc = run_cli_process(
+        ["complete", "--observed", str(tmp_path / "obs.tns"), "--mask", str(tmp_path / "mask.tns"),
+         "--rho", "1", "--max-outer", "3", "--results", str(out)],
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    # the overflow warnings come first; the run ends on the divergence
+    assert proc.stderr.splitlines()[-1].startswith("numerical divergence")
+    assert not out.exists()
+
+
 def test_subnormal_rho_exits_one_before_solving(tmp_path, monkeypatch, capsys):
     # 1/rho overflows in the KKT residuals; the run used to exit 0 with a garbage fit
     def never(*args, **kwargs):

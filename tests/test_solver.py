@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -831,6 +832,42 @@ class TestPMMSolve:
         objectives = trace.objectives()
         for t, entry in enumerate(trace.entries):
             assert objectives[t + 1] + a * entry.step_norm**2 <= objectives[t] + DESCENT_SLACK
+
+    def test_a_step_whose_max_inner_runs_out_is_exhausted_with_no_margin(self):
+        # a box at half the observed peak and a budget of two inner steps: the
+        # second step's exact move binds, and one ADMM step after it does not
+        # meet the descent rule before max_inner runs out
+        u = dct_transform(1)
+        _, y_obs, mask = synth_completion((10, 11, 1), 1, 0.6, 0.01, u, 10)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=2.0, gamma=2.7)
+        # rho is 1.5 times the descent threshold L/(1 - 2 xi)
+        assert loss.lipschitz_constant() / (1 - 2 * solver.XI) * 1.5 == 3.125
+        cfg = PMMConfig(rho=3.125, beta=1.0, box_c=0.5 * top.inf_norm(y_obs), max_outer=30)
+        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4, max_inner=2), y_obs)
+        assert trace.descent_checked
+        entry = trace.entries[1]
+        assert entry.exhausted and entry.rho == cfg.rho
+        assert (entry.trials, entry.inner_iterations) == (1, 2)
+        # an exhausted step meets only the monotone assertion, so no margin is certified
+        assert trace.descent_margin == 0.0
+        objectives = trace.objectives()
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_a_failed_svd_inside_the_subproblem_is_numerical_divergence(self, monkeypatch):
+        # LAPACK's LinAlgError is a ValueError, which the CLI reports as an input error
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(solver, "svt", fails)
+        loss = full_mask_loss(np.random.default_rng(16).standard_normal((3, 3, 2)))
+        for rho in (0.5, 10.0):  # the damped path and the exact move
+            cfg = PMMConfig(rho=rho, beta=0.5, box_c=5.0, max_outer=3)
+            with warnings.catch_warnings(), pytest.raises(NumericalDivergenceError) as excinfo:
+                warnings.simplefilter("ignore", RuntimeWarning)
+                pmm_solve(loss, MCP, dct_transform(2), cfg, ADMMConfig(), np.zeros((3, 3, 2)))
+            assert "SVD did not converge" in str(excinfo.value)
+            assert excinfo.value.trace is not None and excinfo.value.trace.entries == []
 
     def test_binding_steps_accepted_at_the_projected_move_cost_one_svt(self, monkeypatch):
         # a box just inside the observed peak binds at most steps; where the

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 34 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 35 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -123,6 +123,11 @@ COMMANDS = [
     # moves below rho that bind the box are kept at their projected move
     ["complete", "--synthetic", "--dims", "40x40x4", "--rank", "3", "--sr", "0.6", "--seed", "0",
      "--lambda", "8", "--beta", "2", "--rho", "3", "--tol-inner", "3e-4"],
+    # a box at half the observed peak and two inner steps: a step at rho runs
+    # out of max_inner before the descent rule holds (exhausted)
+    ["complete", "--synthetic", "--dims", "10x11x1", "--rank", "1", "--sr", "0.6", "--seed", "10",
+     "--lambda", "2", "--beta", "1", "--rho", "3.125", "--box-c", "2.472175341773691",
+     "--max-inner", "2", "--tol-inner", "3e-4", "--max-outer", "30"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
