@@ -526,7 +526,7 @@ def pmm_solve(
         1e-9). A move that binds the box returns ``y = project_box(y*)``, which
         no bound covers: it is kept when it meets the inner stop test, the
         local check and ``F(y) + (rho_t/2)||Delta||^2 <= F(x_t)`` (plus 1e-9),
-        so its ``a_t = rho_t/2`` is measured. The cheap tests come first.
+        so its ``a_t = rho_t/2`` is measured; a failed cheap test costs no SVD.
         """
         cfg_t = replace(pmm_cfg, rho=rho_t)
         terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
