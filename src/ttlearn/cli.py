@@ -44,10 +44,8 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--box-c", dest="box_c", type=float)
     p.add_argument("--transform", choices=TRANSFORMS)
     p.add_argument("--max-outer", dest="max_outer", type=int)
-    p.add_argument("--tol-outer", dest="tol_outer", type=float)
     p.add_argument("--max-inner", dest="max_inner", type=int)
     p.add_argument("--tol-inner", dest="tol_inner", type=float)
-    p.add_argument("--pilot-max-outer", dest="pilot_max_outer", type=int)
     p.add_argument("--seed", type=int)
 
 
@@ -156,8 +154,6 @@ def _driver_kwargs(cfg: ExperimentConfig) -> dict:
         box_c=cfg.resolved_box_c(),
         admm_cfg=cfg.build_admm(),
         max_outer=cfg.max_outer,
-        tol_outer=cfg.tol_outer,
-        pilot_max_outer=cfg.pilot_max_outer,
     )
 
 

@@ -1,13 +1,13 @@
 """Experiment configuration: defaults, JSON loading, and validation.
 
 A config validates on construction. The ranges and defaults of the penalty
-and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``
-(the inner ADMM's weight and dual step and the subproblems' admissible
-inexactness xi = 0.1 are constants of ``solver``), whose
-rejection is reported under the JSON key; the task defaults and fixed
-transforms belong to ``tasks``. The experiment-only fields (task, transform,
-sampling and generator sizes, paths) are checked here. Every value is
-type-checked on load, so a bad value is rejected with its field name.
+and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``,
+whose rejection is reported under the JSON key; the inner ADMM's weight and
+dual step, the admissible inexactness xi = 0.1 and the outer stop tolerance
+are fixed by ``solver``, and the task defaults and fixed transforms belong
+to ``tasks``. The experiment-only fields (task, transform, sampling and
+generator sizes, paths) are checked here. Every value is type-checked on
+load, so a bad value is rejected with its field name.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ class ExperimentConfig:
     rho: float | None = None  # task default when None
     box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
     max_outer: int = PMMConfig.max_outer
-    tol_outer: float = PMMConfig.tol_outer
     max_inner: int = ADMMConfig.max_inner
     tol_inner: float = ADMMConfig.tol_inner
     sr: float = 0.4
@@ -61,7 +60,6 @@ class ExperimentConfig:
     n_test: int = 200
     rank: int = 2
     dims: tuple[int, int, int] = (30, 30, 10)
-    pilot_max_outer: int | None = None
     paths: dict[str, str] = field(default_factory=dict)
 
     def resolved_rho(self) -> float:
@@ -92,7 +90,6 @@ class ExperimentConfig:
             beta=self.beta,
             box_c=1.0 if self.box_c is None else self.box_c,
             max_outer=self.max_outer,
-            tol_outer=self.tol_outer,
         )
         # the solver's nuclear-norm weight; neither Penalty nor PMMConfig sees the product
         if not math.isfinite(self.beta * pen.slope):
@@ -110,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError("dims", "must be three positive integers")
         if not 0 <= self.rank <= min(self.dims[0], self.dims[1]):
             raise ConfigError("rank", "must lie in [0, min(n1, n2)]")
-        if self.pilot_max_outer is not None and self.pilot_max_outer < 0:
-            raise ConfigError("pilot_max_outer", "must be nonnegative")
         allowed_paths = {
             "observed", "mask", "truth", "output", "results",
             "train_samples", "train_labels", "test_samples", "test_labels",

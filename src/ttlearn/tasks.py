@@ -2,7 +2,7 @@
 and end-to-end drivers for noisy completion and binary classification."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def _solve(loss, pen, transform, pmm_cfg, admm_cfg, x0):
 
 def _run(
     task: str, loss, x0: np.ndarray, pen: Penalty, transform_kind: str,
-    admm_cfg: solver.ADMMConfig | None, pilot_max_outer: int | None, **pmm_args,
+    admm_cfg: solver.ADMMConfig | None, **pmm_args,
 ) -> tuple[np.ndarray, dict]:
     """Shared driver of both tasks: the optional pilot stage, then the main solve.
 
@@ -234,10 +234,7 @@ def _run(
 
     info: dict = {"task": task, "box_c": pmm_cfg.box_c}
     if transform_kind == "data":
-        pilot_cfg = pmm_cfg
-        if pilot_max_outer is not None:
-            pilot_cfg = replace(pmm_cfg, max_outer=pilot_max_outer)
-        pilot, info["pilot"] = _solve(loss, pen, dct_transform(n3), pilot_cfg, admm_cfg, x0)
+        pilot, info["pilot"] = _solve(loss, pen, dct_transform(n3), pmm_cfg, admm_cfg, x0)
         transform = data_driven_transform(pilot)
     else:
         transform = build_transform(transform_kind, n3)
@@ -257,17 +254,13 @@ def run_completion(
     box_c: float | None = None,
     admm_cfg: solver.ADMMConfig | None = None,
     max_outer: int = solver.PMMConfig.max_outer,
-    tol_outer: float = solver.PMMConfig.tol_outer,
     ground_truth: np.ndarray | None = None,
-    pilot_max_outer: int | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Recover a tensor from noisy partial observations.
 
-    ``box_c`` defaults to 1.05 times the largest observed magnitude. The
-    ``data`` transform runs a pilot solve under the DCT first and derives the
-    transform from the pilot estimate; ``pilot_max_outer`` caps the pilot's
-    outer iterations (full stopping rule when None). Returns the recovered
-    tensor and a JSON-ready info dict (metrics included when ``ground_truth``
+    ``box_c`` defaults to 1.05 times the largest observed magnitude; ``data``
+    takes the transform from a DCT pilot solve under the same settings. Returns the
+    recovered tensor and a JSON-ready info dict (metrics included when ``ground_truth``
     is given; a truth the metrics reject raises ``ValueError`` before the solve).
     """
     loss = CompletionLoss(y_obs, mask)
@@ -280,8 +273,8 @@ def run_completion(
             raise ValueError("all observed entries are zero; set box_c explicitly")
         box_c = 1.05 * observed_peak
     recovered, info = _run(
-        "complete", loss, loss.y_obs.copy(), pen, transform_kind, admm_cfg, pilot_max_outer,
-        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer, tol_outer=tol_outer,
+        "complete", loss, loss.y_obs.copy(), pen, transform_kind, admm_cfg,
+        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer,
     )
     if ground_truth is not None:
         info["metrics"] = {
@@ -302,15 +295,13 @@ def run_classification(
     box_c: float = CLASSIFY_BOX_C,
     admm_cfg: solver.ADMMConfig | None = None,
     max_outer: int = solver.PMMConfig.max_outer,
-    tol_outer: float = solver.PMMConfig.tol_outer,
     test_samples: np.ndarray | None = None,
     test_labels: np.ndarray | None = None,
-    pilot_max_outer: int | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Fit the coefficient tensor of a binary classifier by regularized logistic loss.
 
-    Starts from the zero tensor; the ``data`` transform and ``pilot_max_outer``
-    work as in :func:`run_completion`. Returns the coefficient estimate and a
+    Starts from the zero tensor; the ``data`` transform works as in
+    :func:`run_completion`. Returns the coefficient estimate and a
     JSON-ready info dict; test accuracy is reported when a nonempty test split
     is given, whose sample shape is checked before the solve.
     """
@@ -319,8 +310,8 @@ def run_classification(
     if tested:
         margins(test_samples, np.zeros(loss.shape))
     coeff, info = _run(
-        "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg, pilot_max_outer,
-        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer, tol_outer=tol_outer,
+        "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg,
+        rho=rho, beta=beta, box_c=box_c, max_outer=max_outer,
     )
     if tested:
         _, labels = predict(coeff, test_samples)

@@ -384,10 +384,15 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
     assert f"config field '{named}': must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--eta", "5"), ("--tau", "1"), ("--xi", "0.7")])
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--eta", "5"), ("--tau", "1"), ("--xi", "0.7"), ("--tol-outer", "1e-3"),
+     ("--pilot-max-outer", "10")],
+)
 def test_removed_solver_flag_exits_one_naming_it(flag, value):
-    # the inner ADMM's weight and dual step and the subproblems' inexactness xi
-    # are solver constants, not options
+    # the inner ADMM's weight and dual step, the subproblems' inexactness xi and
+    # the outer stop tolerance are fixed by the solver, and the pilot solve runs
+    # under the main solve's settings: none of them is an option
     proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", flag, value])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -639,8 +644,8 @@ def test_zero_test_count_means_no_test_split(tmp_path, recwarn):
 SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]
 CONFIG_KEYS = [
     "task", "penalty", "gamma", "transform", "beta", "rho", "box_c", "max_outer",
-    "tol_outer", "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train", "n_test",
-    "rank", "dims", "pilot_max_outer", "paths", "lambda",
+    "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train", "n_test", "rank", "dims",
+    "paths", "lambda",
 ]
 TRACE_KEYS = [
     "initial_objective", "outer_iterations", "converged", "descent_checked",

@@ -20,7 +20,7 @@ def test_empty_config_gets_full_default_set(tmp_path):
     assert cfg.penalty == "mcp"
     assert cfg.gamma == 2.7
     assert cfg.resolved_rho() == 10.0
-    assert cfg.max_outer == 100 and cfg.tol_outer == 5e-4
+    assert cfg.max_outer == 100
     assert cfg.max_inner == 100 and cfg.tol_inner == 3e-3
     assert cfg.resolved_box_c() is None  # derived from data at run time
 
@@ -37,10 +37,11 @@ def test_lambda_alias(tmp_path):
     assert cfg.echo()["lambda"] == 0.7
 
 
-@pytest.mark.parametrize("field", ["eta", "tau", "xi"])
+@pytest.mark.parametrize("field", ["eta", "tau", "xi", "tol_outer", "pilot_max_outer"])
 def test_removed_admm_fields_are_unknown(field, tmp_path):
-    # the inner ADMM's weight and dual step and the subproblems' inexactness xi
-    # are solver constants, not options
+    # the inner ADMM's weight and dual step, the subproblems' inexactness xi and
+    # the outer stop tolerance are fixed by the solver, and the pilot solve runs
+    # under the main solve's settings: none of them is an option
     with pytest.raises(ConfigError) as excinfo:
         load_config(write_config(tmp_path, {field: 2.0}), task="complete")
     assert excinfo.value.fieldname == field
@@ -77,13 +78,12 @@ def test_invalid_json(tmp_path):
         ("rho", 0.0),
         ("n_test", -1),
         ("max_inner", 0),
-        ("tol_outer", 0.0),
+        ("box_c", 0.0),
         ("sigma", -1.0),
         ("sr", 0.0),
         ("n_train", 0),
         ("rank", -1),
         ("dims", [4, 4]),
-        ("box_c", 0.0),
         ("max_outer", -1),
         ("tol_inner", 0.0),
     ],
@@ -170,11 +170,8 @@ def test_mistyped_values_name_their_field(payload, field, tmp_path):
 
 
 def test_integers_and_nulls_accepted_where_typed():
-    cfg = config_from_dict(
-        {"task": "complete", "lambda": 1, "rho": None, "box_c": None, "pilot_max_outer": None}
-    )
+    cfg = config_from_dict({"task": "complete", "lambda": 1, "rho": None, "box_c": None})
     assert cfg.lam == 1 and cfg.rho is None and cfg.box_c is None
-    assert cfg.pilot_max_outer is None
 
 
 def test_scad_gamma_rule():
@@ -207,5 +204,5 @@ def test_replace_validates_like_construction():
 def test_echoed_defaults_are_the_drivers_defaults(task, driver):
     echoed = config_from_dict({}, task=task).echo()
     params = inspect.signature(driver).parameters
-    for name in ("rho", "box_c", "max_outer", "tol_outer"):
+    for name in ("rho", "box_c", "max_outer"):
         assert echoed[name] == params[name].default, name

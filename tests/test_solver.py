@@ -47,6 +47,8 @@ class TestConfigs:
             PMMConfig(rho=1.0, beta=-1.0, box_c=1.0)
         with pytest.raises(ValueError):
             PMMConfig(rho=1.0, beta=1.0, box_c=0.0)
+        with pytest.raises(ValueError):
+            PMMConfig(rho=1.0, beta=1.0, box_c=1.0, tol_outer=0.0)
         with pytest.raises(ValueError, match="must keep 1/rho finite"):
             PMMConfig(rho=1e-320, beta=1.0, box_c=1.0)
         PMMConfig(rho=1e-300, beta=1.0, box_c=1.0)

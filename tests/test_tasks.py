@@ -287,7 +287,7 @@ class TestRunCompletion:
         recovered, info = tasks.run_completion(
             y_obs, mask, pen, beta=2.0, rho=4.0, transform_kind="data",
             admm_cfg=ADMMConfig(tol_inner=1e-4),
-            ground_truth=truth, pilot_max_outer=30,
+            ground_truth=truth,
         )
         assert info["transform"] == "data"
         assert "pilot" in info and info["pilot"]["transform"] == "dct"
@@ -316,16 +316,18 @@ class TestRunClassification:
         assert top.inf_norm(coeff) <= 10.0 + 1e-12
 
     def test_data_transform_pilot_is_capped(self):
+        # the pilot runs under the main solve's settings, so max_outer caps both
         problem = tasks.synth_logistic((4, 4, 3), 1, 80, 1, dct_transform(3), seed=1)
         pen = Penalty("mcp", lam=0.2, gamma=2.7)
         with pytest.warns(RuntimeWarning):
             _, info = tasks.run_classification(
                 problem.train_samples, problem.train_labels, pen, beta=0.5,
                 rho=0.15, transform_kind="data", admm_cfg=ADMMConfig(tol_inner=1e-3),
-                max_outer=5, pilot_max_outer=2,
+                max_outer=2,
             )
         assert info["pilot"]["transform"] == "dct"
         assert info["pilot"]["trace"]["outer_iterations"] == 2
+        assert info["trace"]["outer_iterations"] == 2
         assert info["transform"] == "data"
 
     def test_empty_test_split_reports_no_metrics(self):
@@ -344,10 +346,10 @@ class TestRunClassification:
         assert "metrics" not in info
 
     def test_zero_pilot_rejected(self):
-        # a pilot capped at zero outer steps is the zero starting point
+        # a pilot of zero outer steps is the zero starting point
         problem = tasks.synth_logistic((3, 3, 2), 1, 20, 1, dct_transform(2), seed=0)
         with pytest.raises(ValueError, match="pilot tensor is zero"):
             tasks.run_classification(
                 problem.train_samples, problem.train_labels, Penalty("convex", lam=1.0),
-                beta=1.0, transform_kind="data", pilot_max_outer=0,
+                beta=1.0, transform_kind="data", max_outer=0,
             )

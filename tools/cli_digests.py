@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 35 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 37 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -62,10 +62,9 @@ COMMANDS = [
     ["complete", *INSTANCE, "--truth", "inst_truth.tns", "--lambda", "2", "--beta", "2",
      "--rho", "4", "--tol-inner", "1e-3", "--output", "rec.tns"],
     ["complete", *INSTANCE, "--truth", "inst_truth.tns", "--penalty", "scad", "--gamma", "3.7",
-     "--lambda", "2", "--beta", "2", "--transform", "data", "--pilot-max-outer", "10",
-     "--output", "rec_scad.tns"],
+     "--lambda", "2", "--beta", "2", "--transform", "data", "--output", "rec_scad.tns"],
     ["complete", *INSTANCE, "--penalty", "scad", "--gamma", "3.7", "--lambda", "4",
-     "--beta", "2", "--rho", "6", "--transform", "data", "--pilot-max-outer", "10"],
+     "--beta", "2", "--rho", "6", "--transform", "data"],
     ["complete", "--synthetic", "--dims", "8x8x2", "--rank", "1", "--sr", "0.7", "--sigma", "0",
      "--seed", "1", "--lambda-grid", "1,2", "--beta-grid", "1,2", "--rho", "4",
      "--tol-inner", "1e-3", "--max-outer", "30"],
@@ -128,6 +127,9 @@ COMMANDS = [
     ["complete", "--synthetic", "--dims", "10x11x1", "--rank", "1", "--sr", "0.6", "--seed", "10",
      "--lambda", "2", "--beta", "1", "--rho", "3.125", "--box-c", "2.472175341773691",
      "--max-inner", "2", "--tol-inner", "3e-4", "--max-outer", "30"],
+    # the outer stop tolerance and the pilot's cap are not options
+    [*SMALL, "--tol-outer", "1e-3"],
+    [*SMALL, "--pilot-max-outer", "5"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
