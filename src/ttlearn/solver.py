@@ -417,6 +417,8 @@ class _Step(NamedTuple):
     exhausted: bool = False
 
 
+# once per solve, not around each kernel call: an errstate costs about a microsecond
+@np.errstate(over="ignore")
 def pmm_solve(
     loss,
     pen: Penalty,
@@ -455,7 +457,8 @@ def pmm_solve(
     gets :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate, a
     multiplier ``z*`` whose norm overflows (``rho`` near the float range times
     the rounding of ``v - y*``) or an SVD of :func:`admm_subproblem` that
-    fails (``LinAlgError``) raises :class:`NumericalDivergenceError`.
+    fails (``LinAlgError``) raises :class:`NumericalDivergenceError`. Overflow
+    warns nowhere in the solve: those checks report it.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 

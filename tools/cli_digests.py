@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 37 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 38 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -130,6 +130,8 @@ COMMANDS = [
     # the outer stop tolerance and the pilot's cap are not options
     [*SMALL, "--tol-outer", "1e-3"],
     [*SMALL, "--pilot-max-outer", "5"],
+    # noise near the float range overflows inside the step at rho: exit 2, unwarned
+    [*SMALL, "--sigma", "1e307", "--rho", "5", "--max-outer", "3"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
