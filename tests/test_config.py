@@ -86,6 +86,7 @@ def test_invalid_json(tmp_path):
         ("dims", [4, 4]),
         ("max_outer", -1),
         ("tol_inner", 0.0),
+        ("tol_outer", 0.0),  # no longer a field: rejected at any value
     ],
 )
 def test_range_violations(field, value, tmp_path):
