@@ -156,6 +156,46 @@ def slice_svd(x: np.ndarray, u: OrthogonalTransform):
     return np.linalg.svd(_slices_first(apply_transform(x, u)), full_matrices=False)
 
 
+def slice_svd_update(factors, e: np.ndarray, u: OrthogonalTransform):
+    """Thin SVD factors of ``m + e`` from ``factors`` of ``m``, or ``None``.
+
+    ``factors`` is laid out like :func:`slice_svd`'s, or holds only the top
+    triplets (the truncated path of :func:`svt`), and ``e`` touches few rows
+    ``R`` and columns ``C``. The transform mixes tubes only, so every
+    transformed slice of ``e`` lives on ``R x C``. With the ``r`` leading
+    triplets that carry nonzero singular values, one batched QR each gives
+    ``[U_r, I_R] = Q_L R_L`` and ``[V_r, I_C] = Q_R R_R``, and each slice of
+    ``m + e`` is ``Q_L K Q_R^T`` with the small core
+    ``K = R_L[:, :r] S_r R_R[:, :r]^T + Q_L[R]^T e_RC Q_R[C]``; the SVD of
+    ``K`` rotated back by ``Q_L`` and ``Q_R`` is a thin SVD of the slice
+    (Brand, *Linear Algebra Appl.* 2006). The values beyond the core's width
+    are zero and left out, as on the truncated path. Returns ``None`` when
+    the core's width ``r + max(|R|, |C|)`` exceeds a quarter of the shorter
+    slice side, the rule by which :class:`SubspaceHint` drops a basis.
+    """
+    left, sigma, right_h = factors
+    n1, n2, n3 = e.shape
+    touched = e != 0
+    rows = np.flatnonzero(touched.any(axis=(1, 2)))
+    cols = np.flatnonzero(touched.any(axis=(0, 2)))
+    # each slice's values descend, so its nonzero triplets lead
+    r = int((sigma > 0).sum(axis=1).max())
+    if 4 * (r + max(rows.size, cols.size)) > min(n1, n2):
+        return None
+
+    def orthonormalize(basis, lines, n):
+        unit = np.broadcast_to(np.eye(n)[:, lines], (n3, n, lines.size))
+        return np.linalg.qr(np.concatenate([basis[:, :, :r], unit], axis=2))
+
+    q_left, r_left = orthonormalize(left, rows, n1)
+    q_right, r_right = orthonormalize(right_h.swapaxes(1, 2), cols, n2)
+    block = _slices_first(apply_transform(e[np.ix_(rows, cols)], u))
+    core = (r_left[:, :, :r] * sigma[:, None, :r]) @ r_right[:, :, :r].swapaxes(1, 2)
+    core += q_left[:, rows].swapaxes(1, 2) @ block @ q_right[:, cols]
+    small_left, values, small_right_h = np.linalg.svd(core, full_matrices=False)
+    return q_left @ small_left, values, small_right_h @ q_right.swapaxes(1, 2)
+
+
 def spectral_map(factors, f, u: OrthogonalTransform) -> np.ndarray:
     """The tensor whose transformed slices are ``U @ diag(f(S)) @ Vh`` for ``factors``."""
     left, sigma, right_h = factors

@@ -54,6 +54,7 @@ from .penalties import (
     penalty_value,
     require_finite,
     slice_svd,
+    slice_svd_update,
     svt,
 )
 from .tensor_ops import as_tensor3, fro_norm, inf_norm, project_box, rank_counts
@@ -453,8 +454,11 @@ def pmm_solve(
     Every new iterate is factorized once, for its nuclear norm, its objective
     and the next smooth-part gradient: an exact move reuses the factors its
     ``svt`` left in the hint (truncated factors omit zero singular values,
-    which add nothing to the gradient as ``s2'(0) = 0``); any other iterate
-    gets :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate, a
+    which add nothing to the gradient as ``s2'(0) = 0``), and a projected
+    move, which differs from ``y*`` where the box clips it, updates them with
+    :func:`~ttlearn.penalties.slice_svd_update`; ADMM's outputs, and a
+    projected move whose update is refused, get
+    :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate, a
     multiplier ``z*`` whose norm overflows (``rho`` near the float range times
     the rounding of ``v - y*``) or an SVD of :func:`admm_subproblem` that
     fails (``LinAlgError``) raises :class:`NumericalDivergenceError`. Overflow
@@ -497,9 +501,17 @@ def pmm_solve(
             raise NumericalDivergenceError("the subproblem's multiplier overflows", trace)
         return out
 
-    def factorize(x_new, m):
-        # only an exact move inside the box returns m itself, whose factors svt left in the hint
-        return hint.factors if x_new is m and hint.factors is not None else slice_svd(x_new, u)
+    def factorize(x_new, m, exact_move):
+        # an exact move returns m itself, whose factors svt left in the hint, or
+        # project_box(m), which updates them where the box clips few rows and
+        # columns; ADMM's outputs, dense changes of m, are not tried
+        if exact_move and hint.factors is not None:
+            if x_new is m:
+                return hint.factors
+            updated = slice_svd_update(hint.factors, x_new - m, u)
+            if updated is not None:
+                return updated
+        return slice_svd(x_new, u)
 
     def gain(terms, delta, new_factors):
         return np.vdot(terms.slope, delta) + weight * (new_factors[1].sum() - nuclear)
@@ -544,7 +556,7 @@ def pmm_solve(
         loss_new = loss.value(x_new)
         if not loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * norm**2:
             return None
-        new_factors = factorize(x_new, m)
+        new_factors = factorize(x_new, m, exact_move=True)
         if inside and not gain(terms, delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
             return None
         step = record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
@@ -571,7 +583,8 @@ def pmm_solve(
             inner += steps
             delta = x_new - x
             norm = fro_norm(delta)
-            new_factors = factorize(x_new, m)
+            # only the first call's one iteration is the exact move
+            new_factors = factorize(x_new, m, exact_move=inner == 1)
             step_gain = gain(terms, delta, new_factors)
             if step_gain <= (XI - 0.5) * pmm_cfg.rho * norm**2 + DESCENT_SLACK:
                 break

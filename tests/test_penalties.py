@@ -638,3 +638,83 @@ class TestTruncatedSVT:
         b = low_rank_stack(rng, shape, spectrum(rng, 2), 0.02, u)
         monkeypatch.setattr(penalties, "MAX_POWER_STEPS", 0)
         np.testing.assert_array_equal(svt(b, TAU, u, hint=hint), svt(b, TAU, u))
+
+
+def assert_factorizes(factors, x, u):
+    """``factors`` is a thin SVD of every transformed slice of ``x``, zero values left out."""
+    left, sigma, right_h = factors
+    scale = top.fro_norm(x)
+    rebuilt = penalties.spectral_map(factors, lambda s: s, u)
+    assert top.fro_norm(rebuilt - x) <= 1e-12 * scale
+    eye = np.eye(sigma.shape[1])
+    for gram in (left.swapaxes(1, 2) @ left, right_h @ right_h.swapaxes(1, 2)):
+        np.testing.assert_allclose(gram, np.broadcast_to(eye, gram.shape), atol=1e-12)
+    exact = penalties.slice_svd(x, u)[1]
+    width = sigma.shape[1]
+    top_value = max(exact.max(), 1.0)
+    np.testing.assert_allclose(sigma, exact[:, :width], rtol=0, atol=1e-12 * top_value)
+    assert np.all(exact[:, width:] <= 1e-12 * top_value)
+
+
+class TestSliceSVDUpdate:
+    """:func:`penalties.slice_svd_update` of ``svt`` factors against ``slice_svd`` of the sum."""
+
+    @staticmethod
+    def thresholded(shape, transform, seed, calls=1):
+        # svt's result and the factors it leaves in the hint: full below
+        # TRUNCATED_MIN_SIDE and on a first call, Ritz triplets on a warm one
+        rng = np.random.default_rng(seed)
+        u = transform(shape[2])
+        a = low_rank_stack(rng, shape, spectrum(rng, 3), 0.02, u)
+        hint = SubspaceHint()
+        for _ in range(calls):
+            m = svt(a, TAU, u, hint=hint)
+            a = a + 0.001 * rng.standard_normal(shape)
+        return m, hint.factors, u
+
+    @pytest.mark.parametrize("transform", [identity_transform, dct_transform])
+    @pytest.mark.parametrize("shape, calls", [((40, 48, 3), 1), ((64, 70, 3), 1), ((64, 70, 3), 2)])
+    def test_one_clipped_entry(self, transform, shape, calls):
+        m, factors, u = self.thresholded(shape, transform, 1, calls)
+        truncated = factors[1].shape[1] < min(shape[:2])
+        assert truncated == (calls == 2)
+        peak = np.sort(np.abs(m), axis=None)
+        x = top.project_box(m, (peak[-1] + peak[-2]) / 2)
+        e = x - m
+        assert np.count_nonzero(e) == 1
+        assert_factorizes(penalties.slice_svd_update(factors, e, u), x, u)
+
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_several_entries_sharing_rows_and_columns(self, calls):
+        m, factors, u = self.thresholded((64, 72, 3), dct_transform, 2, calls)
+        e = np.zeros_like(m)
+        e[3, [4, 11], 0] = [0.5, -0.25]
+        e[[3, 20], 11, 1] = [-1.0, 0.75]
+        e[20, 4, 2] = 2.0
+        assert_factorizes(penalties.slice_svd_update(factors, e, u), m + e, u)
+
+    def test_zero_change_keeps_the_nonzero_triplets(self):
+        m, factors, u = self.thresholded((40, 40, 2), dct_transform, 3)
+        updated = penalties.slice_svd_update(factors, np.zeros_like(m), u)
+        assert updated[1].shape == (2, 3)
+        assert_factorizes(updated, m, u)
+
+    def test_zero_tensor_plus_a_change(self):
+        u = dct_transform(3)
+        m = np.zeros((40, 40, 3))
+        factors = penalties.slice_svd(m, u)
+        e = np.zeros_like(m)
+        e[5, 7, 1], e[5, 9, 2] = 3.0, -1.5
+        updated = penalties.slice_svd_update(factors, e, u)
+        # one row: each slice has rank 1 at most
+        assert updated[1].shape == (3, 1)
+        assert_factorizes(updated, e, u)
+
+    def test_a_change_on_too_many_rows_is_refused(self):
+        # rank 3 plus 8 rows is 11, above a quarter of the 40 side
+        m, factors, u = self.thresholded((40, 40, 2), dct_transform, 4)
+        e = np.zeros_like(m)
+        e[np.arange(8), 0, 0] = 1.0
+        assert penalties.slice_svd_update(factors, e, u) is None
+        e[7, 0, 0] = 0.0
+        assert_factorizes(penalties.slice_svd_update(factors, e, u), m + e, u)

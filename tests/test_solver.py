@@ -874,7 +874,9 @@ class TestPMMSolve:
     def test_binding_steps_accepted_at_the_projected_move_cost_one_svt(self, monkeypatch):
         # a box just inside the observed peak binds at most steps; where the
         # projected exact move meets tol_inner and the descent rule, the step
-        # makes one svt (the move) and one slice_svd (the new iterate's factors)
+        # makes one svt (the move) and no slice_svd: the box clips one entry
+        # of a rank-1 move, so the core is 2 wide, a quarter of the side 8,
+        # and the move's factors update to the new iterate's
         u = dct_transform(2)
         _, y_obs, mask = synth_completion((8, 8, 2), 1, 0.6, 0.01, u, seed=2)
         loss = CompletionLoss(y_obs, mask)
@@ -882,10 +884,11 @@ class TestPMMSolve:
         cfg = PMMConfig(rho=4.0, beta=2.0, box_c=0.95 * top.inf_norm(y_obs), max_outer=30)
         real_subproblem, real_svt = solver.admm_subproblem, solver.svt
         real_slice_svd, steps = solver.slice_svd, []
+        real_update = solver.slice_svd_update
 
         def recorded(xt, *args, **kwargs):
             if not steps or steps[-1]["xt"] is not xt:
-                steps.append({"xt": xt, "calls": [], "svt": 0, "slice_svd": 0})
+                steps.append({"xt": xt, "calls": [], "svt": 0, "slice_svd": 0, "updated": []})
             out = real_subproblem(xt, *args, **kwargs)
             steps[-1]["calls"].append((kwargs["exact"], out[0] is out[1], out[-1]))
             return out
@@ -900,6 +903,13 @@ class TestPMMSolve:
         monkeypatch.setattr(solver, "admm_subproblem", recorded)
         monkeypatch.setattr(solver, "svt", counted("svt", real_svt))
         monkeypatch.setattr(solver, "slice_svd", counted("slice_svd", real_slice_svd))
+
+        def update(*args):
+            out = real_update(*args)
+            steps[-1]["updated"].append(out is not None)
+            return out
+
+        monkeypatch.setattr(solver, "slice_svd_update", update)
         _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(), y_obs)
         assert trace.descent_checked and len(steps) == len(trace.entries)
         accepted = 0
@@ -908,7 +918,8 @@ class TestPMMSolve:
             if step["calls"] == [(True, False, 1)]:
                 accepted += 1
                 assert entry.inner_iterations == 1
-                assert (step["svt"], step["slice_svd"]) == (1, 1)
+                assert step["updated"] == [True]
+                assert (step["svt"], step["slice_svd"]) == (1, 0)
         assert accepted > 10
         a, objectives = trace.descent_margin, trace.objectives()
         for t, entry in enumerate(trace.entries):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 38 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 39 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -132,6 +132,10 @@ COMMANDS = [
     [*SMALL, "--pilot-max-outer", "5"],
     # noise near the float range overflows inside the step at rho: exit 2, unwarned
     [*SMALL, "--sigma", "1e307", "--rho", "5", "--max-outer", "3"],
+    # slices of side 80 above the truncation gate: a binding move kept below rho
+    # updates the Ritz factors its truncated svt left instead of factorizing anew
+    ["complete", "--synthetic", "--dims", "80x80x3", "--rank", "3", "--sr", "0.6", "--seed", "2",
+     "--lambda", "8", "--beta", "2", "--rho", "3", "--tol-inner", "3e-4"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
