@@ -28,6 +28,11 @@ class CompletionLoss:
     loss an unbiased estimate of the full squared error. Off-mask values of
     ``y_obs`` are ignored (stored as zeros). ``y_obs`` and ``mask`` are
     stored C-ordered, the layout of the iterates they meet on every call.
+    The masked residual is ``x·mask + o`` with one float array ``o`` built
+    once, ``-y`` on the mask and ``+0.0`` off it: ``x + (-y)`` is ``x - y``
+    exactly, and adding ``+0.0`` turns an off-mask ``-0.0`` product into
+    ``+0.0``. So for finite ``x`` the residual is
+    ``np.where(mask, x - y, 0.0)`` bit for bit, without the branch.
     """
 
     def __init__(self, y_obs: np.ndarray, mask: np.ndarray):
@@ -41,6 +46,7 @@ class CompletionLoss:
         self.mask = mask
         self.y_obs = np.zeros(y.shape)
         np.copyto(self.y_obs, y, where=mask)
+        self._offset = np.where(mask, -self.y_obs, 0.0)
         self.p = n_obs / mask.size
         self.shape = y.shape
 
@@ -48,7 +54,9 @@ class CompletionLoss:
         x = np.asarray(x, dtype=float)
         if x.shape != self.shape:
             raise ValueError(f"shape mismatch: {x.shape} vs {self.shape}")
-        return np.where(self.mask, x - self.y_obs, 0.0)
+        r = np.multiply(x, self.mask)
+        r += self._offset
+        return r
 
     def value(self, x: np.ndarray) -> float:
         r = self._residual(x)

@@ -241,28 +241,30 @@ def objective_value(
 
 
 class SubproblemTerms(NamedTuple):
-    """The parts of :func:`kkt_residuals` fixed by one subproblem's ``x_t``.
+    """The parts of :func:`kkt_residuals` fixed by one outer step's ``x_t``.
 
     ``slope`` is ``grad f(x_t) - beta * grad S2(x_t)``; the three norms are
-    ``||x_t||``, ``||grad f(x_t)|| / rho`` and ``beta * ||grad S2(x_t)|| / rho``,
-    the constant summands of ``eta_p``'s denominator.
+    ``||x_t||``, ``||grad f(x_t)||`` and ``beta * ||grad S2(x_t)||``. The
+    last two over ``rho`` are, with ``||x_t||``, the constant summands of
+    ``eta_p``'s denominator. None depends on ``rho``, so every trial weight
+    of an outer step shares them.
     """
 
     slope: np.ndarray
     norm_xt: float
-    grad_f_term: float
-    grad_s2_term: float
+    norm_grad_f: float
+    norm_grad_s2: float
 
 
 def subproblem_terms(
     xt: np.ndarray, grad_f_xt: np.ndarray, grad_s2_xt: np.ndarray, cfg: PMMConfig
 ) -> SubproblemTerms:
-    """The :class:`SubproblemTerms` of the subproblem at ``xt``."""
+    """The :class:`SubproblemTerms` of the subproblems at ``xt`` (``cfg`` gives ``beta``)."""
     return SubproblemTerms(
         slope=grad_f_xt - cfg.beta * grad_s2_xt,
         norm_xt=fro_norm(xt),
-        grad_f_term=fro_norm(grad_f_xt) / cfg.rho,
-        grad_s2_term=cfg.beta * fro_norm(grad_s2_xt) / cfg.rho,
+        norm_grad_f=fro_norm(grad_f_xt),
+        norm_grad_s2=cfg.beta * fro_norm(grad_s2_xt),
     )
 
 
@@ -288,21 +290,27 @@ def kkt_residuals(
     denominator instead: ``svt`` is nonexpansive, so that bounds the exact
     value from above without an SVD. ``terms`` are the subproblem's
     :func:`subproblem_terms`, computed here when not given; an inner loop
-    passes them so that it computes them once.
+    passes them so that it computes them once. When ``x is m`` (an exact
+    move inside the box) ``eta_e`` is 0.0, and when ``subgradient is z``
+    ``eta_d`` is 0.0, the values the zero differences give, without forming
+    them.
     """
     if terms is None:
         terms = subproblem_terms(xt, grad_f_xt, grad_s2_xt, cfg)
     norm_m = fro_norm(m)
-    norm_x = fro_norm(x)
     norm_z = fro_norm(z)
-    eta_e = fro_norm(m - x) / (1 + norm_m + norm_x)
+    eta_e = 0.0 if x is m else fro_norm(m - x) / (1 + norm_m + fro_norm(x))
     rho = cfg.rho
     stationarity_point = xt - (terms.slope + z) / rho
     numerator = fro_norm(x - project_box(stationarity_point, cfg.box_c))
-    denominator = 1 + norm_z / rho + terms.norm_xt + terms.grad_f_term + terms.grad_s2_term
+    denominator = (1 + norm_z / rho + terms.norm_xt + terms.norm_grad_f / rho
+                   + terms.norm_grad_s2 / rho)
     eta_p = numerator / denominator
-    gap = m - svt(m + z, cfg.beta * pen.slope, u) if subgradient is None else subgradient - z
-    eta_d = fro_norm(gap) / (1 + norm_m + norm_z)
+    if subgradient is z:
+        eta_d = 0.0
+    else:
+        gap = m - svt(m + z, cfg.beta * pen.slope, u) if subgradient is None else subgradient - z
+        eta_d = fro_norm(gap) / (1 + norm_m + norm_z)
     return KKTResiduals(eta_e=eta_e, eta_d=eta_d, eta_p=eta_p)
 
 
@@ -351,6 +359,7 @@ def admm_subproblem(
     has a Frobenius norm that overflows (``rho`` near the float range times
     the rounding of ``v - y*``) comes back as ``(v, y*, z*)`` with infinite
     residuals, before :func:`kkt_residuals` squares ``z*``.
+
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     # constant part of the x-update numerator; a rho * xt that overflows leaves a
@@ -433,10 +442,9 @@ def pmm_solve(
     The loop starts from ``x0`` projected onto the box, so that the first
     descent check compares two feasible points. Gradients of the loss and
     of the smooth penalty part are evaluated once per outer iteration, and
-    the :func:`subproblem_terms` that every inner stop test and the descent
-    rule share once per trial; the inner solver is warm-started across
-    iterations and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the
-    solve.
+    the :func:`subproblem_terms` that every trial's inner stop tests and the
+    descent rule share; the inner solver is warm-started across iterations
+    and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
 
     A step takes one of three paths, each with its own rule and margin:
     ``damped_step`` below the descent threshold, where ``rho`` stays fixed;
@@ -489,10 +497,10 @@ def pmm_solve(
     step_norm = np.inf
     rho_t = pmm_cfg.rho
 
-    def subproblem(cfg, budget, start, exact, terms):
+    def subproblem(cfg, budget, start, exact):
         try:
-            out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start,
-                                  hint=hint, exact=exact, warm_error=step_norm, terms=terms)
+            out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start, hint=hint,
+                                  exact=exact, warm_error=step_norm, terms=terms)
         except np.linalg.LinAlgError as exc:
             raise NumericalDivergenceError(f"the subproblem's SVD failed: {exc}", trace) from exc
         if not np.all(np.isfinite(out[0])):
@@ -513,7 +521,7 @@ def pmm_solve(
                 return updated
         return slice_svd(x_new, u)
 
-    def gain(terms, delta, new_factors):
+    def gain(delta, new_factors):
         return np.vdot(terms.slope, delta) + weight * (new_factors[1].sum() - nuclear)
 
     def record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, margin, exhausted=False):
@@ -524,8 +532,7 @@ def pmm_solve(
 
     def damped_step():
         """One damped ADMM solve at the fixed ``rho``; nothing certifies it, so its margin is 0."""
-        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
-        x_new, m, z, residuals, inner = subproblem(pmm_cfg, admm_cfg, warm, False, terms)
+        x_new, m, z, residuals, inner = subproblem(pmm_cfg, admm_cfg, warm, False)
         return record(x_new, m, z, slice_svd(x_new, u), loss.value(x_new),
                       fro_norm(x_new - x), residuals, inner, 0.0)
 
@@ -544,9 +551,8 @@ def pmm_solve(
         so its ``a_t = rho_t/2`` is measured; a failed cheap test costs no SVD.
         """
         cfg_t = replace(pmm_cfg, rho=rho_t)
-        terms = subproblem_terms(x, grad_f, grad_s2, cfg_t)
         one_move = replace(admm_cfg, max_inner=1)
-        x_new, m, z, residuals, inner = subproblem(cfg_t, one_move, warm, True, terms)
+        x_new, m, z, residuals, inner = subproblem(cfg_t, one_move, warm, True)
         inside = x_new is m
         # a binding move must meet the inner stop test that accepts it at rho
         if not (inside or residuals.eta_res <= admm_cfg.tol_inner):
@@ -557,7 +563,7 @@ def pmm_solve(
         if not loss_new <= loss_x + np.vdot(grad_f, delta) + rho_t / 2 * norm**2:
             return None
         new_factors = factorize(x_new, m, exact_move=True)
-        if inside and not gain(terms, delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
+        if inside and not gain(delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
             return None
         step = record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
         measured = step.objective + rho_t / 2 * norm**2 <= objective + DESCENT_SLACK
@@ -576,16 +582,15 @@ def pmm_solve(
         step whose ``max_inner`` runs out first is ``exhausted``: only the
         monotone assertion holds, and ``a_t = 0``.
         """
-        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
         budget, start, inner = admm_cfg, warm, 0
         while True:
-            x_new, m, z, residuals, steps = subproblem(pmm_cfg, budget, start, inner == 0, terms)
+            x_new, m, z, residuals, steps = subproblem(pmm_cfg, budget, start, inner == 0)
             inner += steps
             delta = x_new - x
             norm = fro_norm(delta)
             # only the first call's one iteration is the exact move
             new_factors = factorize(x_new, m, exact_move=inner == 1)
-            step_gain = gain(terms, delta, new_factors)
+            step_gain = gain(delta, new_factors)
             if step_gain <= (XI - 0.5) * pmm_cfg.rho * norm**2 + DESCENT_SLACK:
                 break
             if inner >= admm_cfg.max_inner:
@@ -600,6 +605,7 @@ def pmm_solve(
     for _ in range(pmm_cfg.max_outer):
         grad_f = loss.grad(x)
         grad_s2 = dc_smooth_grad(x, u, pen, factors)
+        terms = subproblem_terms(x, grad_f, grad_s2, pmm_cfg)
         nuclear = factors[1].sum()
         trials = 1
         while descent_ok and rho_t < pmm_cfg.rho:
@@ -611,7 +617,7 @@ def pmm_solve(
         else:
             step = step_at_rho() if descent_ok else damped_step()
 
-        norm_x = fro_norm(x)
+        norm_x = terms.norm_xt
         if norm_x > 0:
             rel_step = step.step_norm / norm_x
         else:

@@ -201,7 +201,10 @@ def fro_norm(x: np.ndarray) -> float:
 
 
 def inf_norm(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x)))
+    # np.max(np.abs(x)) without the temporary; abs() turns the -0.0 that
+    # max(-0.0, 0.0) may return into 0.0
+    x = np.asarray(x)
+    return abs(float(max(x.max(), -x.min())))
 
 
 def inner_prod(x: np.ndarray, y: np.ndarray) -> float:

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import expit as scipy_expit
 
 from ttlearn.cli import _read_sample_stack, _write_sample_stack
@@ -71,6 +73,32 @@ class TestCompletionLoss:
         loss = CompletionLoss(np.zeros((4, 4, 3)), mask)
         g = loss.grad(rng.standard_normal((4, 4, 3)))
         assert np.all(g[~mask] == 0.0)
+
+    @given(
+        data=arrays(np.float64, (3, 2, 4), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        x=arrays(np.float64, (3, 2, 4), elements=st.floats(allow_nan=False, allow_infinity=False)),
+        mask=arrays(np.bool_, (3, 2, 4)),
+    )
+    # observed zeros met by -0.0, and negative unobserved entries
+    @example(
+        data=np.zeros((3, 2, 4)),
+        x=np.where(np.arange(24).reshape(3, 2, 4) % 2 == 0, -0.0, -1.5),
+        mask=np.arange(24).reshape(3, 2, 4) % 2 == 0,
+    )
+    def test_value_and_grad_match_the_where_formula_bit_for_bit(self, data, x, mask):
+        mask = mask.copy()
+        mask.flat[0] = True
+        loss = CompletionLoss(data, mask)
+        # huge draws overflow alike in both formulas
+        with np.errstate(over="ignore"):
+            r = np.where(mask, x - loss.y_obs, 0.0)
+            expected_value, expected = float(np.sum(r * r) / (2 * loss.p)), r / loss.p
+            value, grad = loss.value(x), loss.grad(x)
+        assert value == expected_value
+        assert np.array_equal(grad, expected)
+        # unobserved entries are +0.0 whatever the sign of x - y there
+        assert np.array_equal(np.signbit(grad), np.signbit(expected))
+        assert not np.signbit(grad[~mask]).any()
 
     def test_grad_finite_difference(self):
         rng = np.random.default_rng(3)

@@ -481,6 +481,24 @@ class TestSubproblemTerms:
         return built
 
 
+class TestAliasedKKTInputs:
+    """An exact move's blocks alias (x is m, its subgradient is z): the residuals keep their bits."""
+
+    @given(**SUBPROBLEMS, scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_aliased_blocks_give_the_residuals_of_copies(self, scale, **drawn):
+        xt, gf, gs2, pen, u, cfg, _, _ = subproblem_args(**drawn)
+        rng = np.random.default_rng(drawn["seed"] + 2)
+        m, z = (scale * rng.standard_normal(xt.shape) for _ in range(2))
+        args = (xt, gf, gs2, pen, u, cfg)
+        aliased = kkt_residuals(m, m, z, *args, subgradient=z)
+        assert aliased == kkt_residuals(m.copy(), m, z, *args, subgradient=z.copy())
+        assert aliased.eta_e == aliased.eta_d == 0.0
+        # a projected move: x is a new array, only the subgradient aliases z
+        x = top.project_box(m, cfg.box_c)
+        projected = kkt_residuals(x, m, z, *args, subgradient=z)
+        assert projected == kkt_residuals(x, m, z, *args, subgradient=z.copy())
+
+
 class TestExactMove:
     """With ``exact``, a subproblem whose unconstrained minimizer lies in the box takes one svt."""
 
