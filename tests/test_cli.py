@@ -535,6 +535,26 @@ def test_overflowing_data_above_the_threshold_exits_two_without_warnings(sigma, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e100", "1e160"])
+def test_overflowing_data_on_the_damped_path_reports_its_metrics_without_warnings(
+    sigma, tmp_path
+):
+    # the damped solve ends, and the reported final norm, PSNR and SSIM
+    # overflow to inf or nan; they used to warn on their way there
+    out = tmp_path / "out.json"
+    proc = run_cli_process(
+        ["complete", "--synthetic", "--dims", "6x6x2", "--sigma", sigma, "--rho", "1",
+         "--max-outer", "3", "--results", str(out)],
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    for message in ("overflow encountered", "divide by zero", "invalid value"):
+        assert message not in proc.stderr
+    # only the "descent is not guaranteed" warning is left
+    assert proc.stderr.count("Warning") == 1
+    assert set(json.loads(out.read_text())["metrics"]) == {"psnr", "ssim", "relative_error"}
+
+
 def test_subnormal_rho_exits_one_before_solving(tmp_path, monkeypatch, capsys):
     # 1/rho overflows in the KKT residuals; the run used to exit 0 with a garbage fit
     def never(*args, **kwargs):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 39 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 40 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -136,6 +136,9 @@ COMMANDS = [
     # updates the Ritz factors its truncated svt left instead of factorizing anew
     ["complete", "--synthetic", "--dims", "80x80x3", "--rank", "3", "--sr", "0.6", "--seed", "2",
      "--lambda", "8", "--beta", "2", "--rho", "3", "--tol-inner", "3e-4"],
+    # noise of scale 1e160 on the damped path: the solve ends, and the final
+    # norm and metrics overflow to inf or nan without a warning
+    [*SMALL, "--sigma", "1e160", "--rho", "1", "--max-outer", "3"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
