@@ -346,7 +346,12 @@ def _truncated_svt(batch: np.ndarray, tau: float, basis: np.ndarray, fro2, steps
 
 
 def svt(
-    a: np.ndarray, tau: float, u: OrthogonalTransform, *, hint: SubspaceHint | None = None
+    a: np.ndarray,
+    tau: float,
+    u: OrthogonalTransform,
+    *,
+    hint: SubspaceHint | None = None,
+    factors=None,
 ) -> np.ndarray:
     """Singular-value thresholding under the transform.
 
@@ -368,6 +373,12 @@ def svt(
     to the full SVD. Either way the call leaves its own subspace in the hint.
     Every factorization goes through ``numpy.linalg.svd``. Any given hint
     also receives the factors of the result (see :class:`SubspaceHint`).
+
+    ``factors``, if given, is a thin SVD ``(U, S, Vh)`` of ``a``'s
+    transformed slices, values descending per slice, laid out like
+    :func:`slice_svd`'s (trailing zero values may be left out). The call
+    thresholds it instead of factorizing, and a hint learns from it as from
+    a full SVD.
     """
     a = np.asarray(a, dtype=float)
     _check_transform(a, u)
@@ -380,17 +391,19 @@ def svt(
 
     side = min(a.shape[:2])
     if hint is None or side < TRUNCATED_MIN_SIDE:
-        factors = slice_svd(a, u)
+        if factors is None:
+            factors = slice_svd(a, u)
     else:
         batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
         fro2 = np.einsum("sij,sij->s", batch, batch)
-        found = None
-        if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
-            found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
-        if found is None:
-            factors = np.linalg.svd(batch, full_matrices=False)
-        else:
-            factors, hint.steps = found
+        if factors is None:
+            found = None
+            if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
+                found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
+            if found is None:
+                factors = np.linalg.svd(batch, full_matrices=False)
+            else:
+                factors, hint.steps = found
         hint._remember(factors, tau, side, fro2)
     left, sigma, right_h = factors
     shrunk = (left, np.maximum(sigma - tau, 0.0), right_h)

@@ -328,6 +328,7 @@ def admm_subproblem(
     exact: bool = False,
     warm_error: float = 0.0,
     terms: SubproblemTerms | None = None,
+    factors=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, KKTResiduals, int]:
     """Solve one outer subproblem by two-block ADMM with ``ADMM_ETA`` and ``ADMM_TAU``.
 
@@ -360,6 +361,14 @@ def admm_subproblem(
     the rounding of ``v - y*``) comes back as ``(v, y*, z*)`` with infinite
     residuals, before :func:`kkt_residuals` squares ``z*``.
 
+    ``factors``, when given, are thin SVD factors of ``xt``'s transformed
+    slices, values descending (:func:`~ttlearn.penalties.slice_svd`'s, or
+    the truncated ones :func:`~ttlearn.penalties.svt` leaves). When
+    ``grad_f_xt`` has no nonzero entry, ``v = xt + beta * grad S2(xt) / rho``
+    is a spectral function of ``xt`` and keeps its singular vectors (Lewis,
+    *Math. Oper. Res.* 1996), so the exact move's ``svt`` takes the factors
+    ``(U, sigma + beta * s2'(sigma) / rho, V^T)`` instead of an SVD of ``v``;
+    the values stay descending since ``s2'`` is nondecreasing.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     # constant part of the x-update numerator; a rho * xt that overflows leaves a
@@ -374,7 +383,11 @@ def admm_subproblem(
         if not np.all(np.isfinite(v)):
             # an SVD of non-finite entries need not return; the caller checks the iterate
             return v, v, v, KKTResiduals(np.inf, np.inf, np.inf), 1
-        m = svt(v, beta * pen.slope / rho, u, hint=hint)
+        v_factors = None
+        if factors is not None and not np.any(grad_f_xt):
+            left, sigma, right_h = factors
+            v_factors = (left, sigma + beta * pen.s2_prime(sigma) / rho, right_h)
+        m = svt(v, beta * pen.slope / rho, u, hint=hint, factors=v_factors)
         z = rho * (v - m)
         with np.errstate(over="ignore"):
             overflow = not np.isfinite(fro_norm(z))
@@ -445,6 +458,9 @@ def pmm_solve(
     the :func:`subproblem_terms` that every trial's inner stop tests and the
     descent rule share; the inner solver is warm-started across iterations
     and keeps one :class:`~ttlearn.penalties.SubspaceHint` for the solve.
+    Every exact move is handed the iterate's factors, which replace the
+    move's SVD when ``grad f(x_t)`` is zero (see :func:`admm_subproblem`):
+    at the start of a completion from its observation.
 
     A step takes one of three paths, each with its own rule and margin:
     ``damped_step`` below the descent threshold, where ``rho`` stays fixed;
@@ -500,7 +516,7 @@ def pmm_solve(
     def subproblem(cfg, budget, start, exact):
         try:
             out = admm_subproblem(x, grad_f, grad_s2, pen, u, cfg, budget, start, hint=hint,
-                                  exact=exact, warm_error=step_norm, terms=terms)
+                                  exact=exact, warm_error=step_norm, terms=terms, factors=factors)
         except np.linalg.LinAlgError as exc:
             raise NumericalDivergenceError(f"the subproblem's SVD failed: {exc}", trace) from exc
         if not np.all(np.isfinite(out[0])):

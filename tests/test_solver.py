@@ -233,12 +233,13 @@ class TestADMMSubproblem:
 
 def reference_admm_subproblem(
     xt, grad_f_xt, grad_s2_xt, pen, u, pmm_cfg, admm_cfg, warm=None, *,
-    hint=None, exact=False, warm_error=0.0, terms=None,
+    hint=None, exact=False, warm_error=0.0, terms=None, factors=None,
 ):
     """The ADMM inner loop written out, with the dual-residual bound inline.
 
     ``terms`` is accepted and ignored: each ``kkt_residuals`` call here
-    computes the subproblem's terms itself.
+    computes the subproblem's terms itself. ``factors`` of ``xt`` replace
+    the exact move's SVD when ``grad_f_xt`` is zero, as in the solver.
     """
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     eta, tau = solver.ADMM_ETA, solver.ADMM_TAU
@@ -247,7 +248,12 @@ def reference_admm_subproblem(
     if exact:
         # the unconstrained minimizer and its multiplier; in the box, the answer
         v = drift / rho
-        m = svt(v, beta * pen.slope / rho, u, hint=hint)
+        v_factors = None
+        if factors is not None and not np.any(grad_f_xt):
+            # v = xt + beta * grad S2(xt) / rho has xt's singular vectors
+            left, sigma, right_h = factors
+            v_factors = (left, sigma + beta * pen.s2_prime(sigma) / rho, right_h)
+        m = svt(v, beta * pen.slope / rho, u, hint=hint, factors=v_factors)
         z = rho * (v - m)
         x = m if top.inf_norm(m) <= c else top.project_box(m, c)
         iterations = 1
@@ -479,6 +485,61 @@ class TestSubproblemTerms:
 
         monkeypatch.setattr(solver, "subproblem_terms", counted)
         return built
+
+
+class TestFirstMoveFromHeldFactors:
+    """From its observation a completion's first ``v`` has ``x0``'s singular vectors."""
+
+    @staticmethod
+    def first_step(dims, box_fraction, monkeypatch):
+        # one outer step, whose exact move stays inside the default box; returns
+        # the solve, the SVD inputs, and per svt call its SVD count
+        u = dct_transform(dims[2])
+        _, y_obs, mask = synth_completion(dims, 1, 0.6, 0.01, u, seed=0)
+        loss = CompletionLoss(y_obs, mask)
+        pen = Penalty("mcp", lam=4.0, gamma=2.7)
+        peak = top.inf_norm(y_obs)
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=box_fraction * peak, max_outer=1)
+        real_svd, real_svt, inputs, per_svt = np.linalg.svd, solver.svt, [], []
+
+        def counted_svd(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return real_svd(a, *args, **kwargs)
+
+        def counted_svt(*args, **kwargs):
+            before = len(inputs)
+            out = real_svt(*args, **kwargs)
+            per_svt.append(len(inputs) - before)
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(solver, "svt", counted_svt)
+        x, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4), y_obs)
+        monkeypatch.undo()
+        return (y_obs, loss, pen, u, cfg), x, trace, inputs, per_svt
+
+    @pytest.mark.parametrize("dims", [(12, 12, 3), (TRUNCATED_MIN_SIDE, TRUNCATED_MIN_SIDE, 2)])
+    def test_the_default_box_factorizes_x0_alone(self, dims, monkeypatch):
+        (y_obs, loss, pen, u, cfg), x, trace, inputs, per_svt = self.first_step(
+            dims, 1.05, monkeypatch
+        )
+        assert not np.any(loss.grad(y_obs))
+        [entry] = trace.entries
+        assert (entry.inner_iterations, entry.trials, entry.rho) == (1, 1, cfg.rho)
+        # one SVD in the solve, x0's; the move's svt makes none
+        assert len(inputs) == 1 and per_svt == [0]
+        assert np.array_equal(inputs[0], top.apply_transform(y_obs, u).transpose(2, 0, 1))
+        v = y_obs + cfg.beta * dc_smooth_grad(y_obs, u, pen) / cfg.rho
+        fresh = svt(v, cfg.beta * pen.slope / cfg.rho, u)
+        assert top.fro_norm(x - fresh) <= 1e-12 * top.fro_norm(v)
+
+    def test_a_box_below_the_observed_peak_factorizes_the_first_move(self, monkeypatch):
+        # the box clips x0, so grad f(x0) is nonzero and v has vectors of its own
+        (y_obs, loss, pen, u, cfg), _, _, _, per_svt = self.first_step(
+            (12, 12, 3), 0.9, monkeypatch
+        )
+        assert np.any(loss.grad(top.project_box(y_obs, cfg.box_c)))
+        assert per_svt[0] == 1
 
 
 class TestAliasedKKTInputs:
@@ -1307,8 +1368,9 @@ class TestLocalStepWeight:
         cfg = PMMConfig(rho=4.0, beta=2.0, box_c=10.0, max_outer=40)
         admm_threshold = cfg.beta * pen.slope / solver.ADMM_ETA
 
-        def off(a, tau, u, hint=None):
-            return svt(a, tau if tau == admm_threshold else scale * tau, u, hint=hint)
+        def off(a, tau, u, hint=None, factors=None):
+            tau = tau if tau == admm_threshold else scale * tau
+            return svt(a, tau, u, hint=hint, factors=factors)
 
         monkeypatch.setattr(solver, "svt", off)
         _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(tol_inner=3e-4), y_obs)
@@ -1347,7 +1409,9 @@ class TestTruncatedSVTInSolve:
         x, trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
         assert trace.converged and sum(accepted) > 100
         assert all(e.inner_iterations > 1 for e in trace.entries)
-        monkeypatch.setattr(solver, "svt", lambda a, tau, u, hint=None: svt(a, tau, u))
+        monkeypatch.setattr(
+            solver, "svt", lambda a, tau, u, hint=None, factors=None: svt(a, tau, u, factors=factors)
+        )
         ref_x, ref_trace = pmm_solve(loss, pen, u, cfg, admm, loss.y_obs.copy())
         assert [e.inner_iterations for e in trace.entries] == [
             e.inner_iterations for e in ref_trace.entries
@@ -1373,8 +1437,8 @@ class TestTruncatedSVTInSolve:
         assert all(e.inner_iterations == 1 for e in trace.entries)
         assert len(trace.entries) > 10 and len(factorized) == 1
 
-        def forgetful(a, tau, u, hint=None):
-            out = svt(a, tau, u, hint=hint)
+        def forgetful(a, tau, u, hint=None, factors=None):
+            out = svt(a, tau, u, hint=hint, factors=factors)
             if hint is not None:
                 hint.factors = None
             return out
