@@ -492,8 +492,8 @@ class TestFirstMoveFromHeldFactors:
 
     @staticmethod
     def first_step(dims, box_fraction, monkeypatch):
-        # one outer step, whose exact move stays inside the default box; returns
-        # the solve, the SVD inputs, and per svt call its SVD count
+        # one outer step from the observation (at the default box its exact move
+        # stays inside); returns the solve, the SVD inputs, and each svt's SVD count
         u = dct_transform(dims[2])
         _, y_obs, mask = synth_completion(dims, 1, 0.6, 0.01, u, seed=0)
         loss = CompletionLoss(y_obs, mask)
