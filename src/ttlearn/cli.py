@@ -44,7 +44,6 @@ def _add_solver_flags(p: _Parser) -> None:
     p.add_argument("--box-c", dest="box_c", type=float)
     p.add_argument("--transform", choices=TRANSFORMS)
     p.add_argument("--max-outer", dest="max_outer", type=int)
-    p.add_argument("--max-inner", dest="max_inner", type=int)
     p.add_argument("--tol-inner", dest="tol_inner", type=float)
     p.add_argument("--seed", type=int)
 
@@ -107,7 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--transform", choices=tasks.FIXED_TRANSFORMS, default="dct")
     p.add_argument("--pilot", help="derive a data-driven transform from this TNS1 file instead")
-    p.add_argument("--tol", type=float, default=top.RANK_TOL)
     p.add_argument("--results", help="path for the JSON output (default: stdout)")
 
     p = sub.add_parser("metrics", help="PSNR/SSIM between two tensor files")
@@ -310,8 +308,6 @@ def _run_synth(args) -> dict:
 
 
 def _run_tsvd(args) -> dict:
-    if not 0 <= args.tol < np.inf:
-        raise UsageError("tol must be finite and nonnegative")
     x = read_tensor(args.input)
     if args.pilot:
         transform = data_driven_transform(read_tensor(args.pilot))
@@ -321,9 +317,9 @@ def _run_tsvd(args) -> dict:
     return {
         "input": args.input,
         "transform": transform.kind,
-        "tol": args.tol,
+        "tol": top.RANK_TOL,
         "singular_values": sigma.tolist(),
-        "multi_rank": top.rank_counts(sigma, args.tol).tolist(),
+        "multi_rank": top.rank_counts(sigma).tolist(),
     }
 
 

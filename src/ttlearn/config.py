@@ -2,10 +2,10 @@
 
 A config validates on construction. The ranges and defaults of the penalty
 and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``,
-whose rejection is reported under the JSON key; the inner ADMM's weight and
-dual step, the admissible inexactness xi = 0.1 and the outer stop tolerance
-are fixed by ``solver``, and the task defaults and fixed transforms belong
-to ``tasks``. The experiment-only fields (task, transform, sampling and
+whose rejection is reported under the JSON key; the inner ADMM's weight, dual
+step and iteration cap, the admissible inexactness xi = 0.1 and the outer stop
+tolerance are fixed by ``solver``, and the task defaults and fixed transforms
+belong to ``tasks``. The experiment-only fields (task, transform, sampling and
 generator sizes, paths) are checked here. Every value is type-checked on
 load, so a bad value is rejected with its field name.
 """
@@ -51,7 +51,6 @@ class ExperimentConfig:
     rho: float | None = None  # task default when None
     box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
     max_outer: int = PMMConfig.max_outer
-    max_inner: int = ADMMConfig.max_inner
     tol_inner: float = ADMMConfig.tol_inner
     sr: float = 0.4
     sigma: float = 0.01
@@ -74,7 +73,7 @@ class ExperimentConfig:
         return _built(Penalty, kind=self.penalty, lam=self.lam, gamma=self.gamma)
 
     def build_admm(self) -> ADMMConfig:
-        return _built(ADMMConfig, max_inner=self.max_inner, tol_inner=self.tol_inner)
+        return _built(ADMMConfig, tol_inner=self.tol_inner)
 
     def __post_init__(self):
         if self.task not in TASKS:

@@ -387,12 +387,12 @@ def test_non_finite_parameter_exits_one_before_solving(flag, value, named, monke
 @pytest.mark.parametrize(
     "flag,value",
     [("--eta", "5"), ("--tau", "1"), ("--xi", "0.7"), ("--tol-outer", "1e-3"),
-     ("--pilot-max-outer", "10")],
+     ("--pilot-max-outer", "10"), ("--max-inner", "2")],
 )
 def test_removed_solver_flag_exits_one_naming_it(flag, value):
-    # the inner ADMM's weight and dual step, the subproblems' inexactness xi and
-    # the outer stop tolerance are fixed by the solver, and the pilot solve runs
-    # under the main solve's settings: none of them is an option
+    # the inner ADMM's weight, dual step and iteration cap, the subproblems'
+    # inexactness xi and the outer stop tolerance are fixed by the solver, and the
+    # pilot solve runs under the main solve's settings: none of them is an option
     proc = run_cli_process(["complete", "--synthetic", "--dims", "6x6x2", flag, value])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
@@ -579,10 +579,11 @@ def test_subnormal_rho_exits_one_before_solving(tmp_path, monkeypatch, capsys):
         (["synth", "--task", "complete", "--dims", "6x6x2", "--sigma", "nan",
           "--out-prefix", "inst"],
          "config field 'sigma': must be finite and nonnegative"),
-        (["tsvd", "--input", "x.tns", "--tol", "nan", "--results", "out.json"],
-         "tol must be finite and nonnegative"),
+        # tsvd counts ranks at tensor_ops.RANK_TOL: --tol is not an option
+        (["tsvd", "--input", "x.tns", "--tol", "1e-6", "--results", "out.json"],
+         "ttlearn: unrecognized arguments: --tol 1e-6"),
     ],
-    ids=["gamma-nan", "gamma-inf", "synth-sigma-nan", "tsvd-tol-nan"],
+    ids=["gamma-nan", "gamma-inf", "synth-sigma-nan", "tsvd-tol"],
 )
 def test_non_finite_input_exits_one_before_writing(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -683,8 +684,8 @@ def test_zero_test_count_means_no_test_split(tmp_path, recwarn):
 SOLVE_KEYS = ["transform", "final_objective", "final_norm", "multi_rank", "trace"]
 CONFIG_KEYS = [
     "task", "penalty", "gamma", "transform", "beta", "rho", "box_c", "max_outer",
-    "max_inner", "tol_inner", "sr", "sigma", "seed", "n_train", "n_test", "rank", "dims",
-    "paths", "lambda",
+    "tol_inner", "sr", "sigma", "seed", "n_train", "n_test", "rank", "dims", "paths",
+    "lambda",
 ]
 TRACE_KEYS = [
     "initial_objective", "outer_iterations", "converged", "descent_checked",

@@ -21,7 +21,7 @@ def test_empty_config_gets_full_default_set(tmp_path):
     assert cfg.gamma == 2.7
     assert cfg.resolved_rho() == 10.0
     assert cfg.max_outer == 100
-    assert cfg.max_inner == 100 and cfg.tol_inner == 3e-3
+    assert cfg.tol_inner == 3e-3
     assert cfg.resolved_box_c() is None  # derived from data at run time
 
 
@@ -37,11 +37,14 @@ def test_lambda_alias(tmp_path):
     assert cfg.echo()["lambda"] == 0.7
 
 
-@pytest.mark.parametrize("field", ["eta", "tau", "xi", "tol_outer", "pilot_max_outer"])
+@pytest.mark.parametrize(
+    "field", ["eta", "tau", "xi", "tol_outer", "pilot_max_outer", "max_inner"]
+)
 def test_removed_admm_fields_are_unknown(field, tmp_path):
-    # the inner ADMM's weight and dual step, the subproblems' inexactness xi and
-    # the outer stop tolerance are fixed by the solver, and the pilot solve runs
-    # under the main solve's settings: none of them is an option
+    # solver parameters with one value in use are constants or library defaults:
+    # the inner ADMM's weight, dual step and iteration cap, the subproblems'
+    # inexactness xi and the outer stop tolerance; the pilot solve runs under the
+    # main solve's settings. None of them is a config field
     with pytest.raises(ConfigError) as excinfo:
         load_config(write_config(tmp_path, {field: 2.0}), task="complete")
     assert excinfo.value.fieldname == field
@@ -77,7 +80,7 @@ def test_invalid_json(tmp_path):
         ("beta", -0.5),
         ("rho", 0.0),
         ("n_test", -1),
-        ("max_inner", 0),
+        ("max_inner", 0),  # no longer a field: rejected at any value
         ("box_c", 0.0),
         ("sigma", -1.0),
         ("sr", 0.0),
@@ -154,7 +157,7 @@ def test_delegated_range_messages():
         ({"dims": [4, "a", 2]}, "dims"),
         ({"dims": [4.0, 4.0, 2.0]}, "dims"),
         ({"max_outer": 2.5}, "max_outer"),
-        ({"max_inner": True}, "max_inner"),
+        ({"max_inner": True}, "max_inner"),  # no longer a field: rejected at any value
         ({"lambda": "abc"}, "lambda"),
         ({"beta": False}, "beta"),
         ({"tol_inner": None}, "tol_inner"),

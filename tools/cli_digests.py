@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 40 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 41 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -122,8 +122,9 @@ COMMANDS = [
     # moves below rho that bind the box are kept at their projected move
     ["complete", "--synthetic", "--dims", "40x40x4", "--rank", "3", "--sr", "0.6", "--seed", "0",
      "--lambda", "8", "--beta", "2", "--rho", "3", "--tol-inner", "3e-4"],
-    # a box at half the observed peak and two inner steps: a step at rho runs
-    # out of max_inner before the descent rule holds (exhausted)
+    # --max-inner is not an option: exit 1. This instance's exhausted step (a box
+    # at half the observed peak, two inner steps) is kept by tests/test_solver.py::
+    # TestPMMSolve::test_a_step_whose_max_inner_runs_out_is_exhausted_with_no_margin
     ["complete", "--synthetic", "--dims", "10x11x1", "--rank", "1", "--sr", "0.6", "--seed", "10",
      "--lambda", "2", "--beta", "1", "--rho", "3.125", "--box-c", "2.472175341773691",
      "--max-inner", "2", "--tol-inner", "3e-4", "--max-outer", "30"],
@@ -139,6 +140,8 @@ COMMANDS = [
     # noise of scale 1e160 on the damped path: the solve ends, and the final
     # norm and metrics overflow to inf or nan without a warning
     [*SMALL, "--sigma", "1e160", "--rho", "1", "--max-outer", "3"],
+    # tsvd counts ranks at tensor_ops.RANK_TOL: --tol is not an option
+    ["tsvd", "--input", "inst_truth.tns", "--tol", "1e-6"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
