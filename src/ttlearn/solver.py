@@ -352,14 +352,14 @@ def admm_subproblem(
     1). Otherwise ADMM continues from the move, whose error is at least the
     box's move ``||y* - project_box(y*)||``, unless ``warm`` is given and that
     move exceeds ``warm_error``, an estimate of the warm start's distance from
-    the answer; then it continues from ``warm``. A ``v`` with non-finite
-    entries (``rho * xt`` overflowed) is returned as is, as all three blocks
-    with infinite residuals after one iteration, without the move's ``svt``:
-    like any non-finite iterate, the caller reports it (:func:`pmm_solve`
-    raises :class:`NumericalDivergenceError`). A finite ``v`` whose ``z*``
-    has a Frobenius norm that overflows (``rho`` near the float range times
-    the rounding of ``v - y*``) comes back as ``(v, y*, z*)`` with infinite
-    residuals, before :func:`kkt_residuals` squares ``z*``.
+    the answer; then it continues from ``warm``. After one iteration, with
+    infinite residuals, it returns a ``v`` with non-finite entries
+    (``rho * xt`` overflowed) as all three blocks, before the move's ``svt``,
+    and a finite ``v`` whose ``z*`` has an overflowing Frobenius norm (``rho``
+    near the float range times the rounding of ``v - y*``) as ``(v, y*, z*)``,
+    before :func:`kkt_residuals` squares ``z*``; :func:`pmm_solve` raises
+    :class:`NumericalDivergenceError` on both. A direct call outside it may
+    warn on these overflows, and returns the same values.
 
     ``factors``, when given, are thin SVD factors of ``xt``'s transformed
     slices, values descending (:func:`~ttlearn.penalties.slice_svd`'s, or
@@ -373,8 +373,7 @@ def admm_subproblem(
     rho, beta, c = pmm_cfg.rho, pmm_cfg.beta, pmm_cfg.box_c
     # constant part of the x-update numerator; a rho * xt that overflows leaves a
     # non-finite v, which the exact branch returns for the caller to report
-    with np.errstate(over="ignore"):
-        drift = rho * xt - grad_f_xt + beta * grad_s2_xt
+    drift = rho * xt - grad_f_xt + beta * grad_s2_xt
     if terms is None:
         terms = subproblem_terms(xt, grad_f_xt, grad_s2_xt, pmm_cfg)
     first = 1
@@ -389,9 +388,7 @@ def admm_subproblem(
             v_factors = (left, sigma + beta * pen.s2_prime(sigma) / rho, right_h)
         m = svt(v, beta * pen.slope / rho, u, hint=hint, factors=v_factors)
         z = rho * (v - m)
-        with np.errstate(over="ignore"):
-            overflow = not np.isfinite(fro_norm(z))
-        if overflow:
+        if not np.isfinite(fro_norm(z)):
             # rho times the rounding of v - y*: the residuals' norm_z would overflow
             return v, m, z, KKTResiduals(np.inf, np.inf, np.inf), 1
         slack = inf_norm(m) <= c
@@ -491,9 +488,9 @@ def pmm_solve(
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
     lipschitz = loss.lipschitz_constant()
-    descent_ok = pmm_cfg.rho > pmm_cfg.rho_threshold(lipschitz)
+    threshold = pmm_cfg.rho_threshold(lipschitz)
+    descent_ok = pmm_cfg.rho > threshold
     if not descent_ok:
-        threshold = pmm_cfg.rho_threshold(lipschitz)
         warnings.warn(f"rho={pmm_cfg.rho:g} does not exceed L/(1-2*xi)={threshold:g}; "
                       "descent is not guaranteed", RuntimeWarning)
 
