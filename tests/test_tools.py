@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttlearn import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -132,6 +134,16 @@ def test_stated_command_counts_match_the_command_list():
     ]
     assert all(stated)
     assert [int(match.group(1)) for match in stated] == [len(tool.COMMANDS)] * 2
+
+
+def test_readme_solver_flags_match_the_parser():
+    readme = (ROOT / "README.md").read_text()
+    stated = re.search(r"Solver flags \(shared by `complete` and `classify`\): `([^`]*)`", readme)
+    assert stated
+    parser = cli._Parser(add_help=False)
+    cli._add_solver_flags(parser)
+    added = [option for action in parser._actions for option in action.option_strings]
+    assert stated.group(1).split() == [option for option in added if option != "--config"]
 
 
 def test_svd_census_lines_sum_to_totals_that_match_an_independent_count(
