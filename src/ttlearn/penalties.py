@@ -2,8 +2,9 @@
 
 The scalar family g(x) is applied to the singular values of every transformed
 frontal slice. g is s1 - s2 with s1(x) = lam*k0*x, its tangent at 0; each kind
-states only its convex differentiable s2, so s2'(0) = 0. The solver linearizes
-s2 and keeps the nuclear-norm part s1, whose prox is thresholding (svt).
+states only its convex differentiable s2, so s2'(0) = 0, and mcp and scad share
+one (see Penalty). The solver linearizes s2 and keeps the nuclear-norm part s1,
+whose prox is thresholding (svt).
 """
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ class Penalty:
     ``lam`` scales the penalty and the finite ``gamma`` its concavity: positive
     for ``mcp`` and ``log`` (``lam*log1p(x/gamma)``), above 1 for ``scad``, and
     unused by ``convex`` (plain ``lam*x``, the transformed-nuclear-norm baseline).
+    mcp and scad are one clipped ramp with shift ``s`` (0 for mcp, 1 for scad):
+    s2' rises with slope ``mu = 1/(gamma - s)`` from 0 at ``s*lam`` to ``lam`` at
+    the knee ``gamma*lam`` and stays there, and s2 is its integral from 0.
     The closed forms need a finite ``lam**2`` (mcp, scad), a finite
     ``1/gamma`` (mcp), or a finite ``gamma**2`` and ``lam/gamma**2`` (log).
     """
@@ -92,13 +96,14 @@ class Penalty:
     @property
     def mu(self) -> float:
         """Weak-convexity modulus: the Lipschitz constant of s2'."""
-        if self.kind == "mcp":
-            return 1.0 / self.gamma
-        if self.kind == "scad":
-            return 1.0 / (self.gamma - 1.0)
         if self.kind == "log":
             return self.lam / self.gamma**2
-        return 0.0
+        return 0.0 if self.kind == "convex" else 1.0 / (self.gamma - self._shift)
+
+    @property
+    def _shift(self) -> float:
+        """Where the ramp s2' of mcp (0) and scad (1) leaves 0, in units of lam."""
+        return 1.0 if self.kind == "scad" else 0.0
 
     def _domain(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -117,38 +122,27 @@ class Penalty:
 
     def s2(self, x) -> np.ndarray:
         x = self._domain(x)
-        lam, gamma = self.lam, self.gamma
+        lam, gamma, shift = self.lam, self.gamma, self._shift
         if self.kind == "convex":
             return np.zeros_like(x)
-        if self.kind == "mcp":
-            # np.where evaluates both branches: clip the quadratic one at its
-            # end, so that x/gamma cannot overflow where it is discarded
-            knee = gamma * lam
-            xq = np.minimum(x, knee)
-            return np.where(x <= knee, xq**2 / (2 * gamma), lam * x - gamma * lam**2 / 2)
-        if self.kind == "scad":
-            return np.select(
-                [x < lam, x < gamma * lam],
-                [np.zeros_like(x), (x - lam) ** 2 / (2 * (gamma - 1))],
-                default=lam * x - (gamma + 1) * lam**2 / 2,
-            )
-        return self.slope * x - lam * np.log1p(x / gamma)
+        if self.kind == "log":
+            return self.slope * x - lam * np.log1p(x / gamma)
+        tail = lam * x - (gamma + shift) * lam**2 / 2
+        return np.where(x <= gamma * lam, self._rise(x) ** 2 / (2 * (gamma - shift)), tail)
 
     def s2_prime(self, x) -> np.ndarray:
         x = self._domain(x)
         lam, gamma = self.lam, self.gamma
         if self.kind == "convex":
             return np.zeros_like(x)
-        if self.kind == "mcp":
-            knee = gamma * lam
-            return np.where(x <= knee, np.minimum(x, knee) / gamma, lam)
-        if self.kind == "scad":
-            return np.select(
-                [x < lam, x < gamma * lam],
-                [np.zeros_like(x), (x - lam) / (gamma - 1)],
-                default=lam,
-            )
-        return self.slope - lam / (x + gamma)
+        if self.kind == "log":
+            return self.slope - lam / (x + gamma)
+        return np.where(x <= gamma * lam, self._rise(x) / (gamma - self._shift), lam)
+
+    def _rise(self, x: np.ndarray) -> np.ndarray:
+        # np.where evaluates both branches: clip the ramp at the knee gamma*lam,
+        # so that neither kind's discarded quadratic branch can overflow
+        return np.maximum(np.minimum(x, self.gamma * self.lam) - self._shift * self.lam, 0.0)
 
 
 def slice_svd(x: np.ndarray, u: OrthogonalTransform):
