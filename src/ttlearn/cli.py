@@ -255,9 +255,11 @@ def _run_classify(args) -> dict:
     else:
         if not args.train_samples or not args.train_labels:
             raise UsageError("classify needs --train-samples and --train-labels, or --synthetic")
+        if bool(args.test_samples) != bool(args.test_labels):
+            raise UsageError("classify needs both --test-samples and --test-labels, or neither")
         train_samples, train_labels = _read_sample_stack(args.train_samples, args.train_labels)
         test_samples = test_labels = None
-        if args.test_samples and args.test_labels:
+        if args.test_samples:
             test_samples, test_labels = _read_sample_stack(args.test_samples, args.test_labels)
 
     coeff, info = tasks.run_classification(

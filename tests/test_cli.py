@@ -246,6 +246,30 @@ def test_classify_synthetic(tmp_path, recwarn):
     assert "test_accuracy" in results["metrics"]
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["test-samples-flag", "test-labels-path"])
+def test_classify_with_half_a_test_pair_exits_one_before_writing(
+    via_config, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(0)
+    write_tensor("train.tns", rng.standard_normal((3, 3, 8)))
+    write_tensor("test.tns", rng.standard_normal((3, 3, 8)))
+    Path("labels.txt").write_text("0\n1\n0\n1\n")
+    outputs = {"output": "coeff.tns", "results": "out.json"}
+    if via_config:
+        paths = {"train_samples": "train.tns", "train_labels": "labels.txt",
+                 "test_labels": "labels.txt", **outputs}
+        Path("cfg.json").write_text(json.dumps({"paths": paths}))
+        argv = ["classify", "--config", "cfg.json"]
+    else:
+        argv = ["classify", "--train-samples", "train.tns", "--train-labels", "labels.txt",
+                "--test-samples", "test.tns", "--output", "coeff.tns", "--results", "out.json"]
+    before = sorted(os.listdir())
+    assert run_cli(argv) == 1
+    assert "needs both --test-samples and --test-labels" in capsys.readouterr().err
+    assert sorted(os.listdir()) == before
+
+
 def test_labels_stack_mismatch_exits_one(tmp_path, capsys):
     stack_path = tmp_path / "s.tns"
     write_tensor(stack_path, np.zeros((2, 2, 5)))  # 5 slices not divisible by 2 labels

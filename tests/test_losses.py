@@ -310,9 +310,15 @@ class TestStorageLayout:
             assert loss.value(x) == reference.value(x)
             assert np.array_equal(loss.grad(x), reference.grad(x))
 
-    def test_logistic_sums_squares_in_the_given_layout(self, cli_stack):
-        # the sum's last bit follows memory order, and it reaches the solve
-        # trace through the descent threshold and margin
+    def test_logistic_lipschitz_bound_is_spectral_in_any_layout(self, cli_stack):
+        # sigma_max(Z)^2/(4n), not ||Z||_F^2/(4n); it reaches the solve trace
+        # through the descent threshold and margin, so its bits must not
+        # follow the given stack's memory order
         samples, labels = cli_stack
         loss = LogisticLoss(samples, labels)
-        assert loss.lipschitz_constant() == float(np.sum(samples * samples)) / (4 * loss.n)
+        reference = LogisticLoss(np.ascontiguousarray(samples), labels)
+        assert loss.lipschitz_constant() == reference.lipschitz_constant()
+        z = samples.reshape(loss.n, -1)
+        spectral = np.linalg.eigvalsh(z.T @ z)[-1] / (4 * loss.n)
+        assert loss.lipschitz_constant() == pytest.approx(spectral, rel=1e-11)
+        assert loss.lipschitz_constant() < float(np.sum(samples * samples)) / (4 * loss.n)

@@ -171,6 +171,24 @@ class TestScalarValues:
     def test_derivative_at_zero_is_lam_k0(self, pen):
         assert pen.g_prime(0.0) == pytest.approx(pen.lam * pen.k0)
 
+    @pytest.mark.parametrize(
+        "pen",
+        [
+            Penalty("mcp", lam=1.0, gamma=2.7),
+            Penalty("scad", lam=1.0, gamma=3.7),
+            Penalty("scad", lam=1.0, gamma=float(np.nextafter(1.0, 2.0))),
+            Penalty("log", lam=1.0, gamma=2.0),
+            Penalty("convex", lam=1.0),
+        ],
+        ids=["mcp", "scad", "scad-gamma-next-to-1", "log", "convex"],
+    )
+    def test_huge_values_evaluate_without_overflow(self, pen):
+        # np.where evaluates both branches: the one it discards must not overflow
+        x = np.array([0.0, 1.0, 1e200, 1e300])
+        with np.errstate(all="raise"):
+            for fn in (pen.s2, pen.s2_prime, pen.g, pen.g_prime):
+                assert np.all(np.isfinite(fn(x)))
+
 
 class TestDCSplit:
     def test_mcp_s2_inside(self):

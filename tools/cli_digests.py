@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 41 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 42 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -142,6 +142,8 @@ COMMANDS = [
     [*SMALL, "--sigma", "1e160", "--rho", "1", "--max-outer", "3"],
     # tsvd counts ranks at tensor_ops.RANK_TOL: --tol is not an option
     ["tsvd", "--input", "inst_truth.tns", "--tol", "1e-6"],
+    # test samples without their labels: exit 1 before any solve
+    ["classify", *CLASSIFY_FILES[:6], "--max-outer", "5"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
