@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 42 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 43 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -144,6 +144,11 @@ COMMANDS = [
     ["tsvd", "--input", "inst_truth.tns", "--tol", "1e-6"],
     # test samples without their labels: exit 1 before any solve
     ["classify", *CLASSIFY_FILES[:6], "--max-outer", "5"],
+    # a descent-checked logistic fit over 40 steps: most run at rho_t < rho, and
+    # some keep a trial only after doubling its weight
+    ["classify", "--synthetic", "--dims", "4x4x2", "--rank", "1", "--n-train", "100",
+     "--n-test", "40", "--seed", "4", "--lambda", "0.05", "--beta", "0.5", "--rho", "2",
+     "--tol-inner", "1e-3", "--max-outer", "40"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
