@@ -166,7 +166,7 @@ class KKTResiduals:
 
 @dataclass
 class TraceEntry:
-    """Record of one outer iteration; ``objective`` is taken at the new iterate.
+    """Record of one outer iteration, built whole by its step; ``objective`` is at the new iterate.
 
     ``rho`` is the accepted step weight ``rho_t`` and ``trials`` the number of
     weights tried, each with its own exact move (one ADMM solve below the
@@ -421,20 +421,15 @@ def admm_subproblem(
 
 
 class _Step(NamedTuple):
-    """A step's new iterate and record in :func:`pmm_solve`, with the margin ``a_t`` it meets."""
+    """One step of :func:`pmm_solve`: the new iterate, the margin ``a_t`` it meets, its entry."""
 
     x: np.ndarray
     m: np.ndarray
     z: np.ndarray
     factors: tuple
     loss: float
-    objective: float
-    feasible: bool
-    step_norm: float
-    kkt_residual: float
-    inner: int
     margin: float
-    exhausted: bool = False
+    entry: TraceEntry
 
 
 # once per solve, not around each kernel call: an errstate costs about a microsecond
@@ -459,10 +454,11 @@ def pmm_solve(
     move's SVD when ``grad f(x_t)`` is zero (see :func:`admm_subproblem`):
     at the start of a completion from its observation.
 
-    A step takes one of three paths, each with its own rule and margin:
-    ``damped_step`` below the descent threshold, where ``rho`` stays fixed;
-    above it, ``trial_step`` at ``rho_t < rho`` and ``step_at_rho``. Each
-    step's ``rho_t`` is seeded at ``rho_0 = rho``; a rejected trial retries at
+    A step takes one of three paths, each with its own rule and margin, and
+    builds its whole :class:`TraceEntry` in ``record``: ``damped_step`` below
+    the descent threshold, where ``rho`` stays fixed; above it,
+    ``trial_step`` at ``rho_t < rho`` and ``step_at_rho``. Each step's
+    ``rho_t`` is seeded at ``rho_0 = rho``; a rejected trial retries at
     ``min(2 rho_t, rho)``, and a first trial kept inside the box halves the
     next step's ``rho_t``. Above the threshold no step may raise the
     objective (beyond 1e-9), and ``descent_margin`` is the least ``a_t`` in
@@ -540,8 +536,15 @@ def pmm_solve(
     def record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, margin, exhausted=False):
         new_objective, feasible = objective_value(x_new, loss, pen, u, pmm_cfg, new_factors,
                                                   loss_value=loss_new)
-        return _Step(x_new, m, z, new_factors, loss_new, new_objective, feasible, norm,
-                     residuals.eta_res, inner, margin, exhausted)
+        if terms.norm_xt > 0:
+            rel_step = norm / terms.norm_xt
+        else:
+            rel_step = 0.0 if norm == 0 else float("inf")
+        entry = TraceEntry(
+            objective=new_objective, step_norm=norm, rel_step=rel_step, inner_iterations=inner,
+            kkt_residual=residuals.eta_res, feasible=feasible, rho=rho_t, trials=trials,
+            exhausted=exhausted)
+        return _Step(x_new, m, z, new_factors, loss_new, margin, entry)
 
     def damped_step():
         """One damped ADMM solve at the fixed ``rho``; nothing certifies it, so its margin is 0."""
@@ -579,7 +582,7 @@ def pmm_solve(
         if inside and not gain(delta, new_factors) <= -rho_t * norm**2 + DESCENT_SLACK:
             return None
         step = record(x_new, m, z, new_factors, loss_new, norm, residuals, inner, rho_t / 2)
-        measured = step.objective + rho_t / 2 * norm**2 <= objective + DESCENT_SLACK
+        measured = step.entry.objective + rho_t / 2 * norm**2 <= objective + DESCENT_SLACK
         return step if inside or measured else None
 
     def step_at_rho():
@@ -630,26 +633,18 @@ def pmm_solve(
         else:
             step = step_at_rho() if descent_ok else damped_step()
 
-        norm_x = terms.norm_xt
-        if norm_x > 0:
-            rel_step = step.step_norm / norm_x
-        else:
-            rel_step = 0.0 if step.step_norm == 0 else float("inf")
-        if descent_ok and step.objective > objective + DESCENT_SLACK:
-            increase = step.objective - objective
+        if descent_ok and step.entry.objective > objective + DESCENT_SLACK:
+            increase = step.entry.objective - objective
             raise DescentViolationError(f"objective increased by {increase:.3e}", trace)
         trace.descent_margin = min(trace.descent_margin, step.margin)
-        trace.entries.append(TraceEntry(
-            objective=step.objective, step_norm=step.step_norm, rel_step=rel_step,
-            inner_iterations=step.inner, kkt_residual=step.kkt_residual, feasible=step.feasible,
-            rho=rho_t, trials=trials, exhausted=step.exhausted))
+        trace.entries.append(step.entry)
         # an exact move kept inside the box at the first trial (a damped step
         # never returns m itself): the next step tries half the weight
         if trials == 1 and step.x is step.m:
             rho_t /= 2
-        x, factors, loss_x, objective = step.x, step.factors, step.loss, step.objective
-        warm, step_norm = (step.m, step.x, step.z), step.step_norm
-        if rel_step <= pmm_cfg.tol_outer:
+        x, factors, loss_x, objective = step.x, step.factors, step.loss, step.entry.objective
+        warm, step_norm = (step.m, step.x, step.z), step.entry.step_norm
+        if step.entry.rel_step <= pmm_cfg.tol_outer:
             trace.converged = True
             break
     trace.multi_rank = rank_counts(factors[1]).tolist()
