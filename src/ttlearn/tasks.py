@@ -310,12 +310,18 @@ def run_classification(
     Starts from the zero tensor; the ``data`` transform works as in
     :func:`run_completion`. Returns the coefficient estimate and a
     JSON-ready info dict; test accuracy is reported when a nonempty test split
-    is given, whose sample shape is checked before the solve.
+    is given. A test split needs both its samples and its labels, of one
+    length and with the training samples' shape; each is checked before the
+    solve and raises ``ValueError``.
     """
     loss = LogisticLoss(train_samples, train_labels)
-    tested = test_samples is not None and test_labels is not None and len(test_labels)
-    if tested:
-        margins(test_samples, np.zeros(loss.shape))
+    if (test_samples is None) != (test_labels is None):
+        raise ValueError("a test split needs both its samples and its labels")
+    if test_labels is not None:
+        n_test = len(margins(test_samples, np.zeros(loss.shape)))
+        if n_test != len(test_labels):
+            raise ValueError(f"{n_test} test samples but {len(test_labels)} test labels")
+    tested = test_labels is not None and len(test_labels)
     coeff, info = _run(
         "classify", loss, np.zeros(loss.shape), pen, transform_kind, admm_cfg,
         rho=rho, beta=beta, box_c=box_c, max_outer=max_outer,

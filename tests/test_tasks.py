@@ -345,6 +345,36 @@ class TestRunClassification:
             )
         assert "metrics" not in info
 
+    @staticmethod
+    def forbid_solve(monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("the test split is checked before any solve")
+
+        monkeypatch.setattr(tasks.solver, "pmm_solve", solve)
+
+    @pytest.mark.parametrize("half", ["test_samples", "test_labels"])
+    def test_half_test_split_rejected_before_the_solve(self, monkeypatch, half):
+        # samples without labels, or the reverse, used to report no metrics
+        problem = tasks.synth_logistic((3, 3, 2), 1, 60, 10, dct_transform(2), seed=0)
+        split = {"test_samples": problem.test_samples, "test_labels": problem.test_labels}
+        del split[half]
+        self.forbid_solve(monkeypatch)
+        with pytest.raises(ValueError, match="needs both its samples and its labels"):
+            tasks.run_classification(
+                problem.train_samples, problem.train_labels, Penalty("mcp", lam=0.2, gamma=2.7),
+                beta=0.5, **split,
+            )
+
+    def test_test_split_length_mismatch_rejected_before_the_solve(self, monkeypatch):
+        # the mismatch used to surface in test_accuracy, after the whole solve
+        problem = tasks.synth_logistic((3, 3, 2), 1, 60, 10, dct_transform(2), seed=0)
+        self.forbid_solve(monkeypatch)
+        with pytest.raises(ValueError, match="10 test samples but 9 test labels"):
+            tasks.run_classification(
+                problem.train_samples, problem.train_labels, Penalty("mcp", lam=0.2, gamma=2.7),
+                beta=0.5, test_samples=problem.test_samples, test_labels=problem.test_labels[:9],
+            )
+
     def test_zero_pilot_rejected(self):
         # a pilot of zero outer steps is the zero starting point
         problem = tasks.synth_logistic((3, 3, 2), 1, 20, 1, dct_transform(2), seed=0)
