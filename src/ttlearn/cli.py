@@ -195,8 +195,8 @@ def _read_sample_stack(samples_path: str, labels_path: str) -> tuple[np.ndarray,
         raise UsageError(
             f"stack n3={stacked.shape[2]} in {samples_path} is not divisible by {n} labels"
         )
-    per = stacked.shape[2] // n
-    samples = np.stack([stacked[:, :, i * per : (i + 1) * per] for i in range(n)])
+    # a view that undoes _write_sample_stack, which concatenates the samples' frontal slices
+    samples = np.moveaxis(stacked.reshape(*stacked.shape[:2], -1, n, order="F"), 3, 0)
     return samples, np.asarray(labels)
 
 

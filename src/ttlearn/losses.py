@@ -80,7 +80,7 @@ class LogisticLoss:
     """
 
     def __init__(self, samples, labels):
-        stack = np.stack([np.asarray(z, dtype=float) for z in samples])
+        stack = np.array(samples, dtype=float, order="C")
         if stack.ndim != 4:
             raise ValueError("samples must be a collection of third-order tensors")
         labels = np.asarray(labels)
@@ -90,7 +90,7 @@ class LogisticLoss:
             raise ValueError("labels must be 0 or 1")
         if not np.all(np.isfinite(stack)):
             raise ValueError("samples contain non-finite entries")
-        self.samples = np.ascontiguousarray(stack)
+        self.samples = stack
         self.labels = labels.astype(float)
         self.n = stack.shape[0]
         self.shape = stack.shape[1:]
