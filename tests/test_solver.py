@@ -935,6 +935,57 @@ class TestPMMSolve:
         objectives = trace.objectives()
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
+    @pytest.mark.parametrize("path", ["trial", "exhausted", "damped"])
+    def test_every_entry_states_its_step_relative_to_the_step_start(self, monkeypatch, path):
+        # each step path builds its own entry: rel_step is step_norm over the
+        # ||x_t|| of that step's subproblem_terms (0 or inf when ||x_t|| is 0)
+        real_terms, norms = solver.subproblem_terms, []
+
+        def recorded(xt, *args):
+            terms = real_terms(xt, *args)
+            norms.append(terms.norm_xt)
+            return terms
+
+        monkeypatch.setattr(solver, "subproblem_terms", recorded)
+        if path == "trial":
+            # a slack box: kept trials run below rho
+            loss, truth, u = rank_one_slices_completion()
+            cfg = PMMConfig(rho=4.0, beta=2.0, box_c=1.05 * top.inf_norm(truth))
+            pen, admm = Penalty("mcp", lam=2.0, gamma=2.7), ADMMConfig(tol_inner=1e-4)
+            x0 = loss.y_obs
+        elif path == "exhausted":
+            # the instance of test_a_step_whose_max_inner_runs_out_is_exhausted_with_no_margin
+            u = dct_transform(1)
+            _, x0, mask = synth_completion((10, 11, 1), 1, 0.6, 0.01, u, 10)
+            loss, pen = CompletionLoss(x0, mask), Penalty("mcp", lam=2.0, gamma=2.7)
+            cfg = PMMConfig(rho=3.125, beta=1.0, box_c=0.5 * top.inf_norm(x0), max_outer=30)
+            admm = ADMMConfig(tol_inner=3e-4, max_inner=2)
+        else:
+            u = dct_transform(2)
+            problem = synth_logistic((5, 5, 2), 1, 120, 10, u, seed=0)
+            loss = LogisticLoss(problem.train_samples, problem.train_labels)
+            cfg = PMMConfig(rho=0.15, beta=0.5, box_c=10.0, max_outer=40)
+            pen, admm = Penalty("mcp", lam=0.2, gamma=2.7), ADMMConfig(tol_inner=1e-3)
+            x0 = np.zeros(loss.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, trace = pmm_solve(loss, pen, u, cfg, admm, x0)
+        assert len(norms) == len(trace.entries) > 1
+        for norm_xt, entry in zip(norms, trace.entries):
+            if norm_xt > 0:
+                assert entry.rel_step == entry.step_norm / norm_xt
+            else:
+                assert entry.rel_step == (0.0 if entry.step_norm == 0 else np.inf)
+            assert not entry.exhausted or entry.inner_iterations == admm.max_inner
+        if path == "trial":
+            assert trace.descent_checked and any(e.rho < cfg.rho for e in trace.entries)
+        elif path == "exhausted":
+            assert trace.descent_checked and any(e.exhausted for e in trace.entries)
+        else:
+            # the logistic fit starts at zero, so its first entry takes the zero-norm rule
+            assert not trace.descent_checked and norms[0] == 0
+            assert all((e.rho, e.trials) == (cfg.rho, 1) for e in trace.entries)
+
     def test_a_failed_svd_inside_the_subproblem_is_numerical_divergence(self, monkeypatch):
         # LAPACK's LinAlgError is a ValueError, which the CLI reports as an input error
         def fails(*args, **kwargs):
