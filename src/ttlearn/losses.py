@@ -81,8 +81,8 @@ class LogisticLoss:
 
     def __init__(self, samples, labels):
         stack = np.array(samples, dtype=float, order="C")
-        if stack.ndim != 4:
-            raise ValueError("samples must be a collection of third-order tensors")
+        if stack.ndim != 4 or not stack.shape[0]:
+            raise ValueError("samples must be a nonempty collection of third-order tensors")
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != stack.shape[0]:
             raise ValueError("labels must be one value per sample")
