@@ -166,12 +166,9 @@ class TestLogisticLoss:
             LogisticLoss(np.zeros((2, 1, 1, 1)), np.array([0]))
         with pytest.raises(ValueError, match="third-order"):
             LogisticLoss(np.zeros((2, 1, 1)), np.array([0, 1]))
-
-    def test_empty_stack_rejected(self):
-        # np.stack used to reject it; a 4-D array of no samples is rejected as well
-        for samples in ([], np.zeros((0, 3, 3, 2))):
+        for empty in ([], np.zeros((0, 3, 3, 2))):
             with pytest.raises(ValueError, match="nonempty collection of third-order"):
-                LogisticLoss(samples, np.array([], dtype=int))
+                LogisticLoss(empty, np.array([], dtype=int))
 
     def test_value_at_zero_is_log_two(self):
         rng = np.random.default_rng(6)

@@ -354,7 +354,7 @@ class TestRunClassification:
 
     @pytest.mark.parametrize("half", ["test_samples", "test_labels"])
     def test_half_test_split_rejected_before_the_solve(self, monkeypatch, half):
-        # samples without labels, or the reverse, used to report no metrics
+        # a half split would report no metrics, silently
         problem = tasks.synth_logistic((3, 3, 2), 1, 60, 10, dct_transform(2), seed=0)
         split = {"test_samples": problem.test_samples, "test_labels": problem.test_labels}
         del split[half]
@@ -366,7 +366,7 @@ class TestRunClassification:
             )
 
     def test_test_split_length_mismatch_rejected_before_the_solve(self, monkeypatch):
-        # the mismatch used to surface in test_accuracy, after the whole solve
+        # test_accuracy would catch it, but only after the whole solve
         problem = tasks.synth_logistic((3, 3, 2), 1, 60, 10, dct_transform(2), seed=0)
         self.forbid_solve(monkeypatch)
         with pytest.raises(ValueError, match="10 test samples but 9 test labels"):
