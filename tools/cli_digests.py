@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 43 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 44 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -149,6 +149,8 @@ COMMANDS = [
     ["classify", "--synthetic", "--dims", "4x4x2", "--rank", "1", "--n-train", "100",
      "--n-test", "40", "--seed", "4", "--lambda", "0.05", "--beta", "0.5", "--rho", "2",
      "--tol-inner", "1e-3", "--max-outer", "40"],
+    # a zero in --dims: exit 1 before any file is written
+    ["synth", "--task", "complete", "--dims", "3x0x2", "--out-prefix", "bad"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
