@@ -48,8 +48,8 @@ class ExperimentConfig:
     gamma: float = 2.7
     transform: str = "dct"
     beta: float = 1.0
-    rho: float | None = None  # task default when None
-    box_c: float | None = None  # auto from data (complete) / CLASSIFY_BOX_C (classify)
+    rho: float | None = None  # None becomes the task's TASK_RHO on construction
+    box_c: float | None = None  # None: CLASSIFY_BOX_C (classify); run_completion's data box
     max_outer: int = PMMConfig.max_outer
     tol_inner: float = ADMMConfig.tol_inner
     sr: float = 0.4
@@ -61,14 +61,6 @@ class ExperimentConfig:
     dims: tuple[int, int, int] = (30, 30, 10)
     paths: dict[str, str] = field(default_factory=dict)
 
-    def resolved_rho(self) -> float:
-        return TASK_RHO[self.task] if self.rho is None else self.rho
-
-    def resolved_box_c(self) -> float | None:
-        if self.box_c is None and self.task == "classify":
-            return CLASSIFY_BOX_C
-        return self.box_c
-
     def build_penalty(self) -> Penalty:
         return _built(Penalty, kind=self.penalty, lam=self.lam, gamma=self.gamma)
 
@@ -78,6 +70,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}")
+        if self.rho is None:
+            object.__setattr__(self, "rho", TASK_RHO[self.task])
+        if self.box_c is None and self.task == "classify":
+            object.__setattr__(self, "box_c", CLASSIFY_BOX_C)
         pen = self.build_penalty()
         if self.transform not in TRANSFORMS:
             raise ConfigError("transform", f"must be one of {TRANSFORMS}")
@@ -85,7 +81,7 @@ class ExperimentConfig:
         # stand-in lets PMMConfig check the other outer-loop parameters
         _built(
             PMMConfig,
-            rho=self.resolved_rho(),
+            rho=self.rho,
             beta=self.beta,
             box_c=1.0 if self.box_c is None else self.box_c,
             max_outer=self.max_outer,
@@ -115,11 +111,9 @@ class ExperimentConfig:
                 raise ConfigError(f"paths.{key}", f"must be one of {sorted(allowed_paths)}")
 
     def echo(self) -> dict:
-        """JSON-ready view with task defaults resolved (box_c may stay null)."""
+        """JSON-ready view; a completion's box_c is null when the data will set it."""
         data = asdict(self)
         data["lambda"] = data.pop("lam")
-        data["rho"] = self.resolved_rho()
-        data["box_c"] = self.resolved_box_c()
         data["dims"] = list(self.dims)
         return data
 

@@ -281,8 +281,17 @@ def test_labels_stack_mismatch_exits_one(tmp_path, capsys):
     assert "not divisible" in capsys.readouterr().err
 
 
-def test_bad_dims_argument(capsys):
-    assert run_cli(["synth", "--task", "complete", "--dims", "3xx", "--out-prefix", "/tmp/x"]) == 1
+@pytest.mark.parametrize("dims, message", [
+    ("3xx", "bad --dims value '3xx'; expected like 30x30x10"),
+    # a parsed --dims is checked by the config's dims rule, like every other flag
+    ("3x0x2", "config field 'dims': must be three positive integers"),
+    ("3x3", "config field 'dims': must be three positive integers"),
+], ids=["3xx", "3x0x2", "3x3"])
+def test_bad_dims_argument(tmp_path, capsys, dims, message):
+    prefix = str(tmp_path / "x")
+    assert run_cli(["synth", "--task", "complete", "--dims", dims, "--out-prefix", prefix]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_divergence_exits_two(tmp_path, monkeypatch, capsys):

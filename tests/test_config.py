@@ -19,16 +19,24 @@ def test_empty_config_gets_full_default_set(tmp_path):
     cfg = load_config(write_config(tmp_path, {}), task="complete")
     assert cfg.penalty == "mcp"
     assert cfg.gamma == 2.7
-    assert cfg.resolved_rho() == 10.0
+    assert cfg.rho == 10.0
     assert cfg.max_outer == 100
     assert cfg.tol_inner == 3e-3
-    assert cfg.resolved_box_c() is None  # derived from data at run time
+    assert cfg.box_c is None  # derived from data at run time
 
 
 def test_classify_task_defaults(tmp_path):
     cfg = load_config(write_config(tmp_path, {"task": "classify"}))
-    assert cfg.resolved_rho() == 100.0
-    assert cfg.resolved_box_c() == 10.0
+    assert cfg.rho == 100.0
+    assert cfg.box_c == 10.0
+
+
+def test_task_defaults_are_resolved_on_construction():
+    cfg = ExperimentConfig(task="classify")
+    assert (cfg.rho, cfg.box_c) == (100.0, 10.0)
+    # replace re-runs __post_init__ on the resolved values, which it keeps
+    replaced = dataclasses.replace(cfg, lam=0.3)
+    assert (replaced.rho, replaced.box_c) == (100.0, 10.0)
 
 
 def test_lambda_alias(tmp_path):
@@ -175,7 +183,8 @@ def test_mistyped_values_name_their_field(payload, field, tmp_path):
 
 def test_integers_and_nulls_accepted_where_typed():
     cfg = config_from_dict({"task": "complete", "lambda": 1, "rho": None, "box_c": None})
-    assert cfg.lam == 1 and cfg.rho is None and cfg.box_c is None
+    # a null rho takes the task default; a completion's null box_c is derived from the data
+    assert cfg.lam == 1 and cfg.rho == 10.0 and cfg.box_c is None
 
 
 def test_scad_gamma_rule():
