@@ -77,6 +77,12 @@ def test_invalid_json(tmp_path):
         load_config(path)
 
 
+def test_top_level_must_be_an_object(tmp_path):
+    with pytest.raises(ConfigError, match="top level must be a JSON object") as excinfo:
+        load_config(write_config(tmp_path, [{"lambda": 1.0}]))
+    assert excinfo.value.fieldname == "<file>"
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

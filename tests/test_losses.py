@@ -66,6 +66,12 @@ class TestCompletionLoss:
         x = rng.standard_normal((3, 2, 2))
         np.testing.assert_allclose(loss.grad(x), x - y, atol=1e-14)
 
+    def test_misshaped_iterate_rejected(self):
+        loss = CompletionLoss(np.zeros((2, 2, 2)), np.ones((2, 2, 2), dtype=bool))
+        for method in (loss.value, loss.grad):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                method(np.zeros((2, 2, 3)))
+
     def test_grad_zero_off_mask(self):
         rng = np.random.default_rng(2)
         mask = rng.random((4, 4, 3)) < 0.5
@@ -169,6 +175,8 @@ class TestLogisticLoss:
         for empty in ([], np.zeros((0, 3, 3, 2))):
             with pytest.raises(ValueError, match="nonempty collection of third-order"):
                 LogisticLoss(empty, np.array([], dtype=int))
+        with pytest.raises(ValueError, match="non-finite"):
+            LogisticLoss(np.array([np.nan, 0.0]).reshape(2, 1, 1, 1), np.array([0, 1]))
 
     def test_value_at_zero_is_log_two(self):
         rng = np.random.default_rng(6)

@@ -30,9 +30,15 @@ class TestMask:
         assert (a != c).any()
 
     def test_bad_ratio(self):
-        for sr in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                tasks.make_mask((2, 2, 2), sr, 0)
+        for dims, sr, message in [
+            ((2, 2, 2), 0.0, "must lie in"),
+            ((2, 2, 2), -0.1, "must lie in"),
+            ((2, 2, 2), 1.5, "must lie in"),
+            # round(0.4 * 1) is 0: a ratio in range that keeps nothing
+            ((1, 1, 1), 0.4, "keeps no entries"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                tasks.make_mask(dims, sr, 0)
 
 
 class TestNoise:
@@ -161,6 +167,13 @@ class TestSynthCompletion:
         np.testing.assert_array_equal(y_obs[mask], truth[mask])  # sigma = 0
 
 
+def test_build_transform_rejects_an_unknown_kind():
+    # the data-driven transform needs a pilot, so it is not a fixed kind either
+    for kind in ("fourier", "data"):
+        with pytest.raises(ValueError, match=f"unknown transform kind '{kind}'"):
+            tasks.build_transform(kind, 3)
+
+
 class TestSynthLogistic:
     def test_rank_zero_balanced_labels(self):
         u = dct_transform(2)
@@ -220,6 +233,11 @@ class TestSynthLogistic:
         again = tasks.synth_logistic(dims, 1, 8, 4, u, seed=0)
         np.testing.assert_array_equal(again.train_samples, problem.train_samples)
         np.testing.assert_array_equal(again.test_labels, problem.test_labels)
+
+    @pytest.mark.parametrize("n_train, n_test", [(0, 10), (10, -1)])
+    def test_sample_counts_validated(self, n_train, n_test):
+        with pytest.raises(ValueError, match="at least one training sample"):
+            tasks.synth_logistic((3, 3, 2), 1, n_train, n_test, dct_transform(2), seed=0)
 
     def test_balance_guard(self):
         u = dct_transform(2)

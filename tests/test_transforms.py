@@ -16,8 +16,10 @@ def test_identity_transform_small():
 
 
 def test_identity_requires_positive_size():
-    with pytest.raises(ValueError):
-        identity_transform(0)
+    # the DCT shares the rule
+    for make in (identity_transform, dct_transform):
+        with pytest.raises(ValueError, match="n3 must be >= 1"):
+            make(0)
 
 
 def test_dct_n1_is_one():
@@ -54,6 +56,11 @@ def test_transform_constructor_rejects_non_orthogonal():
 def test_data_driven_n3_one():
     pilot = np.random.default_rng(0).standard_normal((4, 3, 1))
     np.testing.assert_allclose(data_driven_transform(pilot).matrix, [[1.0]])
+
+
+def test_data_driven_pilot_must_be_third_order():
+    with pytest.raises(ValueError, match="third-order"):
+        data_driven_transform(np.ones((3, 4)))
 
 
 def test_data_driven_zero_pilot_rejected():
