@@ -402,7 +402,7 @@ def admm_subproblem(
         first = 2
     if not exact or (warm is not None and fro_norm(x - m) > warm_error):
         start = warm or (np.zeros_like(xt), xt, np.zeros_like(xt))
-        m, x, z = (np.asarray(w, dtype=float).copy() for w in start)
+        m, x, z = (np.asarray(w, dtype=float) for w in start)
 
     eta, tau = ADMM_ETA, ADMM_TAU
     threshold = beta * pen.slope / eta
