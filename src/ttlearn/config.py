@@ -5,7 +5,10 @@ and solver parameters belong to ``Penalty``, ``PMMConfig`` and ``ADMMConfig``,
 whose rejection is reported under the JSON key; the inner ADMM's weight, dual
 step and iteration cap, the admissible inexactness xi = 0.1 and the outer stop
 tolerance are fixed by ``solver``, and the task defaults and fixed transforms
-belong to ``tasks``. The experiment-only fields (task, transform, sampling and
+belong to ``tasks``. Construction also resolves the task defaults, so a
+config holds the ``rho`` and, for classification, the ``box_c`` its solve runs
+with; a completion's unset ``box_c`` stays ``None`` for ``run_completion`` to
+derive from the data. The experiment-only fields (task, transform, sampling and
 generator sizes, paths) are checked here. Every value is type-checked on
 load, so a bad value is rejected with its field name.
 """
