@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 44 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 45 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -151,6 +151,10 @@ COMMANDS = [
      "--tol-inner", "1e-3", "--max-outer", "40"],
     # a zero in --dims: exit 1 before any file is written
     ["synth", "--task", "complete", "--dims", "3x0x2", "--out-prefix", "bad"],
+    # slices of side 32, between the split and truncation gates: every slice_svd
+    # splits its 5 slices into one block per CPU
+    ["complete", "--synthetic", "--dims", "32x32x5", "--rank", "2", "--sr", "0.5", "--seed", "3",
+     "--max-outer", "8"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
