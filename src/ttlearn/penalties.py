@@ -5,9 +5,17 @@ frontal slice. g is s1 - s2 with s1(x) = lam*k0*x, its tangent at 0; each kind
 states only its convex differentiable s2, so s2'(0) = 0, and mcp and scad share
 one (see Penalty). The solver linearizes s2 and keeps the nuclear-norm part s1,
 whose prox is thresholding (svt).
+
+slice_svd factorizes a mid-size batch of slices as one block per usable CPU,
+the first on the calling thread and the others on a thread pool made on the
+first such call; the factors are bit for bit one whole call's, on any number
+of CPUs.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,9 +153,71 @@ class Penalty:
         return np.maximum(np.minimum(x, self.gamma * self.lam) - self._shift * self.lam, 0.0)
 
 
+# A batch of at least two slices whose shorter side lies in [SPLIT_MIN_SIDE,
+# TRUNCATED_MIN_SIDE) is factorized as one contiguous block of slices per
+# usable CPU. Below the lower gate a block costs less than handing it to a
+# thread; from the upper one OpenBLAS already threads each slice's SVD.
+SPLIT_MIN_SIDE = 16
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _svd_block(block: np.ndarray):
+    # the one task the pool runs: only the SVD, because NumPy's errstate is
+    # per thread, and in ttlearn, so that a census charges its calls here
+    return np.linalg.svd(block, full_matrices=False)
+
+
+def _split_svd(batch: np.ndarray, blocks: int):
+    """Thin SVD of ``batch``, its first block on this thread and the others on the pool.
+
+    Each slice gets the same LAPACK call on the same input as in one whole
+    call, so the factors are bit for bit the whole call's. A failed block
+    raises only after every block has finished.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="ttlearn-svd")
+    first, *rest = np.array_split(batch, blocks)
+    pending = [_pool.submit(_svd_block, block) for block in rest]
+    try:
+        parts = [_svd_block(first)]
+    finally:
+        wait(pending)
+    parts += [future.result() for future in pending]
+    return tuple(np.concatenate(factor) for factor in zip(*parts))
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def slice_svd(x: np.ndarray, u: OrthogonalTransform):
-    """Thin SVD ``(U, S, Vh)`` of every transformed frontal slice: the one spectral kernel."""
-    return np.linalg.svd(_slices_first(apply_transform(x, u)), full_matrices=False)
+    """Thin SVD ``(U, S, Vh)`` of every transformed frontal slice: the one spectral kernel.
+
+    A mid-size batch is split across the CPUs (see ``SPLIT_MIN_SIDE``), with
+    the same bits as one call.
+    """
+    batch = _slices_first(apply_transform(x, u))
+    n3, n1, n2 = batch.shape
+    blocks = min(n3, _usable_cpus()) if SPLIT_MIN_SIDE <= min(n1, n2) < TRUNCATED_MIN_SIDE else 1
+    if blocks > 1:
+        return _split_svd(batch, blocks)
+    return np.linalg.svd(batch, full_matrices=False)
 
 
 def slice_svd_update(factors, e: np.ndarray, u: OrthogonalTransform):
@@ -353,20 +423,22 @@ def svt(
     transformed-slice singular value is shrunk by ``tau`` and floored at 0.
 
     Without ``hint``, or when a slice's shorter side is below
-    ``TRUNCATED_MIN_SIDE``, every slice gets a full thin SVD. Otherwise the
-    call only needs the few singular triplets above ``tau``: it runs QR-only
-    power steps from ``hint.basis``, the previous call's top right singular
-    subspace, and accepts the Rayleigh-Ritz triplets of the small ``k x k``
-    projection once the certificate of :func:`_truncated_svt` holds on every
-    slice. It checks that the kept triplets have converged and, with a
-    deterministic bound on the rest of the slice, that no singular value
-    above ``tau`` was missed, so an accepted result is within the
-    root-sum-square of the kept residuals, ``sqrt(r) * RITZ_RESIDUAL_TOL``
-    times the slice's Frobenius norm at most, of the full one. When the hint
-    is empty or does not fit, or the certificate fails, the call falls back
-    to the full SVD. Either way the call leaves its own subspace in the hint.
-    Every factorization goes through ``numpy.linalg.svd``. Any given hint
-    also receives the factors of the result (see :class:`SubspaceHint`).
+    ``TRUNCATED_MIN_SIDE``, every slice gets a full thin SVD from
+    :func:`slice_svd`, which splits a mid-size batch across the CPUs.
+    Otherwise the call only needs the few singular triplets above ``tau``:
+    it runs QR-only power steps from ``hint.basis``, the previous call's top
+    right singular subspace, and accepts the Rayleigh-Ritz triplets of the
+    small ``k x k`` projection once the certificate of
+    :func:`_truncated_svt` holds on every slice. It checks that the kept
+    triplets have converged and, with a deterministic bound on the rest of
+    the slice, that no singular value above ``tau`` was missed, so an
+    accepted result is within the root-sum-square of the kept residuals,
+    ``sqrt(r) * RITZ_RESIDUAL_TOL`` times the slice's Frobenius norm at
+    most, of the full one. When the hint is empty or does not fit, or the
+    certificate fails, the call falls back to the full SVD. Either way the
+    call leaves its own subspace in the hint. Every factorization goes
+    through ``numpy.linalg.svd``. Any given hint also receives the factors
+    of the result (see :class:`SubspaceHint`).
 
     ``factors``, if given, is a thin SVD ``(U, S, Vh)`` of ``a``'s
     transformed slices, values descending per slice, laid out like

@@ -568,6 +568,32 @@ def test_overflowing_data_above_the_threshold_exits_two_without_warnings(sigma, 
     assert not out.exists()
 
 
+# runs the CLI with two usable CPUs and fails unless an SVD was split across them
+SPLIT_CLI = (
+    "import sys; from ttlearn import penalties; penalties._usable_cpus = lambda: 2; "
+    "from ttlearn.cli import main; code = main(sys.argv[1:]); "
+    "assert penalties._pool is not None; sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize("extra", [["--rho", "1e300"], ["--sigma", "1e307", "--rho", "5"]],
+                         ids=["multiplier", "data"])
+def test_overflowing_split_solve_exits_two_without_warnings(extra, tmp_path):
+    # x0's 32x32 slices are factorized on two threads before the solve
+    # diverges; the pool's threads run only the SVD, outside pmm_solve's errstate
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", SPLIT_CLI, "complete",
+         "--synthetic", "--dims", "32x32x5", "--max-outer", "3", *extra, "--results", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(ttlearn.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.startswith("numerical divergence")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["1e100", "1e160"])
 def test_overflowing_data_on_the_damped_path_reports_its_metrics_without_warnings(
     sigma, tmp_path

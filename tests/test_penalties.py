@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ttlearn.tensor_ops as top
 from ttlearn import penalties
 from ttlearn.penalties import (
+    SPLIT_MIN_SIDE,
     SUBSPACE_OVERSAMPLE,
     TRUNCATED_MIN_SIDE,
     Penalty,
@@ -736,3 +743,98 @@ class TestSliceSVDUpdate:
         assert penalties.slice_svd_update(factors, e, u) is None
         e[7, 0, 0] = 0.0
         assert_factorizes(penalties.slice_svd_update(factors, e, u), m + e, u)
+
+
+class TestSplitSVD:
+    """A mid-size batch is factorized one block of slices per CPU, with one call's bits."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """Force 2 usable CPUs and record the slice count of every block factorized."""
+        monkeypatch.setattr(penalties, "_usable_cpus", lambda: 2)
+        real, seen = penalties._svd_block, []
+
+        def recorded(block):
+            seen.append(len(block))
+            return real(block)
+
+        monkeypatch.setattr(penalties, "_svd_block", recorded)
+        return seen
+
+    @pytest.mark.parametrize("n3", [1, 2, 5, 10])
+    @pytest.mark.parametrize("side", [10, SPLIT_MIN_SIDE, 32, TRUNCATED_MIN_SIDE - 1,
+                                      TRUNCATED_MIN_SIDE])
+    def test_factors_equal_one_whole_call(self, blocks, n3, side):
+        rng = np.random.default_rng(side + n3)
+        u = dct_transform(n3)
+        x = rng.standard_normal((side + 3, side, n3))
+        whole = np.linalg.svd(top._slices_first(top.apply_transform(x, u)), full_matrices=False)
+        for got, want in zip(penalties.slice_svd(x, u), whole):
+            assert np.array_equal(got, want)
+        split = n3 >= 2 and SPLIT_MIN_SIDE <= side < TRUNCATED_MIN_SIDE
+        assert blocks == ([(n3 + 1) // 2, n3 // 2] if split else [])
+
+    def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        u = dct_transform(5)
+        x = rng.standard_normal((32, 40, 5))
+        pen = Penalty("mcp", lam=1.0, gamma=2.7)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(penalties, "_usable_cpus", lambda: cpus)
+            results.append([*penalties.slice_svd(x, u), svt(x, 2.0, u),
+                            svt(x, 2.0, u, hint=SubspaceHint()), dc_smooth_grad(x, u, pen)])
+        for one, two in zip(*results):
+            assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("bad", [0, 4], ids=["this-thread", "pool"])
+    def test_a_failed_block_raises_after_every_block_finished(self, blocks, monkeypatch, bad):
+        # the pool's block sleeps, so a caller that did not wait for it would raise first
+        real, finished = penalties._svd_block, []
+
+        def slow(block):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            try:
+                return real(block)
+            finally:
+                finished.append(len(block))
+
+        monkeypatch.setattr(penalties, "_svd_block", slow)
+        x = np.random.default_rng(4).standard_normal((32, 32, 5))
+        x[0, 0, bad] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            penalties.slice_svd(x, identity_transform(5))
+        assert sorted(finished) == [2, 3]
+
+    def test_one_cpu_makes_no_pool(self, monkeypatch):
+        monkeypatch.setattr(penalties, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(penalties, "_pool", None)
+        rng = np.random.default_rng(5)
+        u = dct_transform(5)
+        x = rng.standard_normal((32, 32, 5))
+        penalties.slice_svd(x, u)
+        svt(x, 1.0, u, hint=SubspaceHint())
+        assert penalties._pool is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_splits_on_a_pool_of_its_own(self):
+        # the parent's pool threads do not exist in a forked child, whose
+        # split would otherwise wait for them forever
+        script = (
+            "import os, numpy as np\n"
+            "from ttlearn import penalties\n"
+            "from ttlearn.transforms import dct_transform\n"
+            "penalties._usable_cpus = lambda: 2\n"
+            "x, u = np.ones((32, 32, 4)), dct_transform(4)\n"
+            "penalties.slice_svd(x, u)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    penalties.slice_svd(x, u)\n"
+            "    os._exit(0)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+        )
+        src = os.path.dirname(os.path.dirname(penalties.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttlearn import cli
+from ttlearn import cli, penalties
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -175,6 +175,33 @@ def test_svd_census_lines_sum_to_totals_that_match_an_independent_count(
     }
     calls, slices, name = total.split()
     assert name == "total"
+    assert int(calls) == sum(row[0] for row in parsed) == len(seen)
+    assert int(slices) == sum(row[1] for row in parsed) == sum(
+        int(np.prod(shape[:-2])) for shape in seen
+    )
+
+
+def test_svd_census_charges_split_blocks_inside_ttlearn(tmp_path, monkeypatch, capsys):
+    # pinned digest command [45]: every slice_svd of its (5, 32, 32) batches is
+    # split into blocks of 3 and 2 slices, the second on a pool thread
+    real_svd, seen = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(penalties, "_usable_cpus", lambda: 2)
+    argv = ["complete", "--synthetic", "--dims", "32x32x5", "--rank", "2", "--sr", "0.5",
+            "--seed", "3", "--max-outer", "8", "--results", str(tmp_path / "r.json")]
+    assert load_tool("svd_census").main(argv) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    parsed = [(int(calls), int(slices), caller, shape)
+              for calls, slices, caller, shape in (row.split(None, 3) for row in rows)]
+    assert {(caller, shape) for *_, caller, shape in parsed} == {
+        ("penalties._svd_block", "(3, 32, 32)"), ("penalties._svd_block", "(2, 32, 32)")
+    }
+    calls, slices, name = total.split()
     assert int(calls) == sum(row[0] for row in parsed) == len(seen)
     assert int(slices) == sum(row[1] for row in parsed) == sum(
         int(np.prod(shape[:-2])) for shape in seen
