@@ -423,22 +423,20 @@ def svt(
     transformed-slice singular value is shrunk by ``tau`` and floored at 0.
 
     Without ``hint``, or when a slice's shorter side is below
-    ``TRUNCATED_MIN_SIDE``, every slice gets a full thin SVD from
-    :func:`slice_svd`, which splits a mid-size batch across the CPUs.
-    Otherwise the call only needs the few singular triplets above ``tau``:
-    it runs QR-only power steps from ``hint.basis``, the previous call's top
-    right singular subspace, and accepts the Rayleigh-Ritz triplets of the
-    small ``k x k`` projection once the certificate of
-    :func:`_truncated_svt` holds on every slice. It checks that the kept
-    triplets have converged and, with a deterministic bound on the rest of
-    the slice, that no singular value above ``tau`` was missed, so an
-    accepted result is within the root-sum-square of the kept residuals,
-    ``sqrt(r) * RITZ_RESIDUAL_TOL`` times the slice's Frobenius norm at
-    most, of the full one. When the hint is empty or does not fit, or the
-    certificate fails, the call falls back to the full SVD. Either way the
-    call leaves its own subspace in the hint. Every factorization goes
-    through ``numpy.linalg.svd``. Any given hint also receives the factors
-    of the result (see :class:`SubspaceHint`).
+    ``TRUNCATED_MIN_SIDE``, every slice gets a full thin SVD. Otherwise the
+    call only needs the few singular triplets above ``tau``: it runs QR-only
+    power steps from ``hint.basis``, the previous call's top right singular
+    subspace, and accepts the Rayleigh-Ritz triplets of the small ``k x k``
+    projection once the certificate of :func:`_truncated_svt` holds on every
+    slice. It checks that the kept triplets have converged and, with a
+    deterministic bound on the rest of the slice, that no singular value
+    above ``tau`` was missed, so an accepted result is within the
+    root-sum-square of the kept residuals, ``sqrt(r) * RITZ_RESIDUAL_TOL``
+    times the slice's Frobenius norm at most, of the full one. When the hint
+    is empty or does not fit, or the certificate fails, the call falls back
+    to the full SVD. Either way the call leaves its own subspace in the hint.
+    Every factorization goes through ``numpy.linalg.svd``. Any given hint
+    also receives the factors of the result (see :class:`SubspaceHint`).
 
     ``factors``, if given, is a thin SVD ``(U, S, Vh)`` of ``a``'s
     transformed slices, values descending per slice, laid out like

@@ -10,11 +10,12 @@ imported from ``DIR`` (default: this checkout's ``src``) and
 ``numpy.linalg.svd`` wrapped. Each call is charged to the innermost frame
 inside the ttlearn package on the stack of the thread that makes it, as
 ``module.function``, and to the shape of its input; ttlearn's own thread
-pool runs a function of the package, so its calls are charged there too. A call factorizes one matrix per entry of the leading
-dimensions, so a ``(10, 100, 100)`` batch is 10 slices, as the benchmark
-counts them. The command's own standard output goes to standard error; the
-census is printed to standard output, one line per (caller, shape) with its
-calls and slices, then the totals. The tool exits with the command's code.
+pool runs a function of the package, so its calls are charged there too.
+A call factorizes one matrix per entry of the leading dimensions, so a
+``(10, 100, 100)`` batch is 10 slices, as the benchmark counts them. The
+command's own standard output goes to standard error; the census is
+printed to standard output, one line per (caller, shape) with its calls
+and slices, then the totals. The tool exits with the command's code.
 """
 from __future__ import annotations
 
