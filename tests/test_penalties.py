@@ -817,6 +817,47 @@ class TestSplitSVD:
         svt(x, 1.0, u, hint=SubspaceHint())
         assert penalties._pool is None
 
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more calling threads than CPUs race to make the pool on their first
+        # split; making it yields the interpreter lock, so without the pool's
+        # own lock the others would see no pool and make theirs
+        monkeypatch.setattr(penalties, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(penalties, "_pool", None)
+        made = []
+
+        class Counted(penalties.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.05)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(penalties, "ThreadPoolExecutor", Counted)
+        u = dct_transform(5)
+        x = np.random.default_rng(6).standard_normal((32, 32, 5))
+        whole = np.linalg.svd(top._slices_first(top.apply_transform(x, u)), full_matrices=False)
+        equal, start = [], threading.Barrier(8)
+
+        def call():
+            start.wait(timeout=60)
+            for _ in range(20):
+                factors = penalties.slice_svd(x, u)
+                equal.extend(np.array_equal(a, b) for a, b in zip(factors, whole))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(equal) == 8 * 20 * 3 and all(equal)
+        assert len(made) == 1
+        made[0].shutdown()
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_splits_on_a_pool_of_its_own(self):
         # the parent's pool threads do not exist in a forked child, whose
