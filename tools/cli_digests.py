@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 45 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 46 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -154,6 +154,10 @@ COMMANDS = [
     # slices of side 32, between the split and truncation gates: every slice_svd
     # splits its 5 slices into one block per CPU
     ["complete", "--synthetic", "--dims", "32x32x5", "--rank", "2", "--sr", "0.5", "--seed", "3",
+     "--max-outer", "8"],
+    # slices of side 72, above the truncation gate: x0's slice_svd and every
+    # full SVD of svt split when the BLAS thread count can be set
+    ["complete", "--synthetic", "--dims", "72x72x4", "--rank", "2", "--sr", "0.5", "--seed", "3",
      "--max-outer", "8"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
