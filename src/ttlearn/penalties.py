@@ -6,13 +6,17 @@ states only its convex differentiable s2, so s2'(0) = 0, and mcp and scad share
 one (see Penalty). The solver linearizes s2 and keeps the nuclear-norm part s1,
 whose prox is thresholding (svt).
 
-slice_svd factorizes a mid-size batch of slices as one block per usable CPU,
-the first on the calling thread and the others on a thread pool made on the
-first such call; the factors are bit for bit one whole call's, on any number
-of CPUs.
+slice_svd, and svt's full SVD, factorize a batch of slices of side 16 or more
+as one block per usable CPU, the first on the calling thread and the others on
+a thread pool made on the first such call. While a split runs, NumPy's bundled
+OpenBLAS runs one thread in the whole process, and the count it had is
+restored when the last split ends. The factors are bit for bit one whole
+call's, on any number of CPUs, for slices up to 100x100; at 200x200 OpenBLAS's
+own result depends on its thread count, so they move at rounding level.
 """
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -153,13 +157,19 @@ class Penalty:
         return np.maximum(np.minimum(x, self.gamma * self.lam) - self._shift * self.lam, 0.0)
 
 
-# A batch of at least two slices whose shorter side lies in [SPLIT_MIN_SIDE,
-# TRUNCATED_MIN_SIDE) is factorized as one contiguous block of slices per
-# usable CPU. Below the lower gate a block costs less than handing it to a
-# thread; from the upper one OpenBLAS already threads each slice's SVD.
+# A batch of at least two slices whose shorter side is at least SPLIT_MIN_SIDE
+# is factorized as one contiguous block of slices per usable CPU, each block
+# at one OpenBLAS thread. Below the gate a block costs less than handing it to
+# a thread. Without a way to set OpenBLAS's thread count, batches from
+# TRUNCATED_MIN_SIDE on take one call, as OpenBLAS already threads each slice.
 SPLIT_MIN_SIDE = 16
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# guarded by _pool_lock: the splits in flight, and the OpenBLAS thread count
+# the first of them replaced with 1 (None when it set nothing)
+_in_flight = 0
+_saved_threads: int | None = None
+_openblas = None  # (get, set) of the thread count, () when NumPy's BLAS has none
 
 
 def _usable_cpus() -> int:
@@ -169,37 +179,89 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _openblas_threads():
+    """The getter and setter of the thread count of NumPy's bundled OpenBLAS, or ``()``.
+
+    Found once, on the first batch that could split, in the library that
+    holds NumPy's LAPACK calls. The per-thread ``openblas_set_num_threads_local``
+    is not used: in NumPy's build it moves the global count too.
+    """
+    global _openblas
+    if _openblas is None:
+        try:
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            _openblas = ()
+        else:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            _openblas = get, put
+    return _openblas
+
+
 def _svd_block(block: np.ndarray):
     # the one task the pool runs: only the SVD, because NumPy's errstate is
     # per thread, and in ttlearn, so that a census charges its calls here
     return np.linalg.svd(block, full_matrices=False)
 
 
-def _split_svd(batch: np.ndarray, blocks: int):
-    """Thin SVD of ``batch``, its first block on this thread and the others on the pool.
+def _split_svd(batch: np.ndarray):
+    """Thin SVD of ``batch`` split into blocks of slices, or ``None`` if it does not split.
 
-    Each slice gets the same LAPACK call on the same input as in one whole
-    call, so the factors are bit for bit the whole call's. A failed block
-    raises only after every block has finished.
+    The first block runs on this thread and the others on the pool. While
+    any split is in flight OpenBLAS runs one thread, in the whole process:
+    the first split to start saves the count and sets 1, and the last to
+    finish restores it. Each slice gets the same LAPACK call on the same
+    input as in one whole call, so the factors are bit for bit the whole
+    call's wherever OpenBLAS's result does not depend on its thread count
+    (up to 100x100 slices at least; 200x200 slices move at rounding level).
+    A failed block raises only after every block has finished.
     """
-    global _pool
+    global _pool, _in_flight, _saved_threads
+    n3, n1, n2 = batch.shape
+    side = min(n1, n2)
+    blocks = min(n3, _usable_cpus()) if side >= SPLIT_MIN_SIDE else 1
+    if blocks == 1 or (side >= TRUNCATED_MIN_SIDE and not _openblas_threads()):
+        return None
+    blas = _openblas_threads()
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="ttlearn-svd")
-    first, *rest = np.array_split(batch, blocks)
-    pending = [_pool.submit(_svd_block, block) for block in rest]
+        if _in_flight == 0 and blas and (count := blas[0]()) != 1:
+            _saved_threads = count
+            blas[1](1)
+        _in_flight += 1
     try:
-        parts = [_svd_block(first)]
+        first, *rest = np.array_split(batch, blocks)
+        pending = [_pool.submit(_svd_block, block) for block in rest]
+        try:
+            parts = [_svd_block(first)]
+        finally:
+            wait(pending)
+        parts += [future.result() for future in pending]
     finally:
-        wait(pending)
-    parts += [future.result() for future in pending]
+        with _pool_lock:
+            _in_flight -= 1
+            if _in_flight == 0:
+                _restore_threads()
     return tuple(np.concatenate(factor) for factor in zip(*parts))
 
 
+def _restore_threads() -> None:
+    # called under _pool_lock, or in a forked child, once no split is in flight
+    global _saved_threads
+    if _saved_threads is not None:
+        _openblas_threads()[1](_saved_threads)
+        _saved_threads = None
+
+
 def _forget_pool() -> None:
-    # a forked child has none of its parent's threads
-    global _pool
-    _pool = None
+    # a forked child has none of its parent's threads, nor their splits
+    global _pool, _in_flight
+    _pool, _in_flight = None, 0
+    _restore_threads()
 
 
 if hasattr(os, "register_at_fork"):
@@ -209,15 +271,13 @@ if hasattr(os, "register_at_fork"):
 def slice_svd(x: np.ndarray, u: OrthogonalTransform):
     """Thin SVD ``(U, S, Vh)`` of every transformed frontal slice: the one spectral kernel.
 
-    A mid-size batch is split across the CPUs (see ``SPLIT_MIN_SIDE``), with
-    the same bits as one call.
+    A batch of two or more slices of side ``SPLIT_MIN_SIDE`` or more is
+    split across the CPUs at one OpenBLAS thread per block (see
+    :func:`_split_svd`), with the same bits as one call.
     """
     batch = _slices_first(apply_transform(x, u))
-    n3, n1, n2 = batch.shape
-    blocks = min(n3, _usable_cpus()) if SPLIT_MIN_SIDE <= min(n1, n2) < TRUNCATED_MIN_SIDE else 1
-    if blocks > 1:
-        return _split_svd(batch, blocks)
-    return np.linalg.svd(batch, full_matrices=False)
+    split = _split_svd(batch)
+    return np.linalg.svd(batch, full_matrices=False) if split is None else split
 
 
 def slice_svd_update(factors, e: np.ndarray, u: OrthogonalTransform):
@@ -465,7 +525,9 @@ def svt(
             if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
                 found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
             if found is None:
-                factors = np.linalg.svd(batch, full_matrices=False)
+                factors = _split_svd(batch)
+                if factors is None:
+                    factors = np.linalg.svd(batch, full_matrices=False)
             else:
                 factors, hint.steps = found
         hint._remember(factors, tau, side, fro2)

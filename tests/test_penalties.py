@@ -21,6 +21,9 @@ from ttlearn.penalties import (
     penalty_value,
     svt,
 )
+from ttlearn.losses import CompletionLoss
+from ttlearn.solver import ADMMConfig, PMMConfig, pmm_solve
+from ttlearn.tasks import synth_completion
 from ttlearn.transforms import dct_transform, identity_transform
 
 ALL_KINDS = [
@@ -745,8 +748,14 @@ class TestSliceSVDUpdate:
         assert_factorizes(penalties.slice_svd_update(factors, e, u), m + e, u)
 
 
+def blas_count():
+    """OpenBLAS's thread count, or None when NumPy's BLAS exports no way to set it."""
+    found = penalties._openblas_threads()
+    return found[0]() if found else None
+
+
 class TestSplitSVD:
-    """A mid-size batch is factorized one block of slices per CPU, with one call's bits."""
+    """A batch of side 16 or more is factorized a block of slices per CPU, with one call's bits."""
 
     @pytest.fixture
     def blocks(self, monkeypatch):
@@ -761,9 +770,19 @@ class TestSplitSVD:
         monkeypatch.setattr(penalties, "_svd_block", recorded)
         return seen
 
+    @pytest.fixture
+    def blas(self):
+        """OpenBLAS's ``(get, set)`` of its thread count, restored after the test."""
+        found = penalties._openblas_threads()
+        if not found:
+            pytest.skip("NumPy's BLAS exports no thread-count setter")
+        before = found[0]()
+        yield found
+        found[1](before)
+
     @pytest.mark.parametrize("n3", [1, 2, 5, 10])
     @pytest.mark.parametrize("side", [10, SPLIT_MIN_SIDE, 32, TRUNCATED_MIN_SIDE - 1,
-                                      TRUNCATED_MIN_SIDE])
+                                      TRUNCATED_MIN_SIDE, 72, 100])
     def test_factors_equal_one_whole_call(self, blocks, n3, side):
         rng = np.random.default_rng(side + n3)
         u = dct_transform(n3)
@@ -771,8 +790,95 @@ class TestSplitSVD:
         whole = np.linalg.svd(top._slices_first(top.apply_transform(x, u)), full_matrices=False)
         for got, want in zip(penalties.slice_svd(x, u), whole):
             assert np.array_equal(got, want)
-        split = n3 >= 2 and SPLIT_MIN_SIDE <= side < TRUNCATED_MIN_SIDE
+        # from TRUNCATED_MIN_SIDE on a batch splits only at one BLAS thread per block
+        below = side < TRUNCATED_MIN_SIDE or bool(penalties._openblas_threads())
+        split = n3 >= 2 and side >= SPLIT_MIN_SIDE and below
         assert blocks == ([(n3 + 1) // 2, n3 // 2] if split else [])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_blocks_run_at_one_thread_and_every_call_restores_the_count(
+        self, blocks, blas, monkeypatch, count
+    ):
+        get, put = blas
+        put(count)
+        real, inside = penalties._svd_block, []
+
+        def recorded(block):
+            inside.append(get())
+            return real(block)
+
+        monkeypatch.setattr(penalties, "_svd_block", recorded)
+        u = dct_transform(4)
+        _, y_obs, mask = synth_completion((72, 72, 4), 2, 0.5, 0.01, u, seed=3)
+        pen = Penalty("mcp", lam=4.0, gamma=2.7)
+        cfg = PMMConfig(rho=4.0, beta=2.0, box_c=1.05 * top.inf_norm(y_obs), max_outer=8)
+        calls = [
+            lambda: penalties.slice_svd(y_obs, u),
+            lambda: svt(y_obs, 1.0, u, hint=SubspaceHint()),
+            lambda: pmm_solve(CompletionLoss(y_obs, mask), pen, u, cfg,
+                              ADMMConfig(tol_inner=3e-4), y_obs),
+        ]
+        for call in calls:
+            split = len(blocks)
+            call()
+            assert len(blocks) > split
+            assert get() == count
+        assert inside == [1] * len(blocks)
+
+    def test_overlapping_splits_set_and_restore_the_count_once(self, blocks, blas, monkeypatch):
+        # the first split's own block waits until a second split has returned,
+        # so the second starts and ends inside the first
+        get, put = blas
+        put(2)
+        log, entered, second_done = [], threading.Event(), threading.Event()
+
+        def recorded_put(count):
+            log.append((count, penalties._in_flight, second_done.is_set()))
+            put(count)
+
+        monkeypatch.setattr(penalties, "_openblas", (get, recorded_put))
+        real = penalties._svd_block
+
+        def held(block):
+            if threading.current_thread().name == "held":
+                entered.set()
+                assert second_done.wait(timeout=60)
+            return real(block)
+
+        monkeypatch.setattr(penalties, "_svd_block", held)
+        u = dct_transform(4)
+        x = np.random.default_rng(7).standard_normal((32, 32, 4))
+        whole = penalties.slice_svd(x, u)
+        log.clear()
+        results = []
+        first = threading.Thread(
+            target=lambda: results.append(penalties.slice_svd(x, u)), name="held"
+        )
+        first.start()
+        try:
+            assert entered.wait(timeout=60)
+            results.append(penalties.slice_svd(x, u))
+            between = get()
+        finally:
+            second_done.set()
+            first.join(timeout=60)
+        assert not first.is_alive()
+        assert between == 1
+        assert log == [(1, 0, False), (2, 0, True)]
+        assert get() == 2
+        for factors in results:
+            assert all(np.array_equal(a, b) for a, b in zip(factors, whole))
+
+    def test_without_a_thread_setter_slices_from_64_take_one_call(self, blocks, monkeypatch):
+        monkeypatch.setattr(penalties, "_openblas", ())
+        rng = np.random.default_rng(8)
+        u = dct_transform(4)
+        for side in (TRUNCATED_MIN_SIDE - 1, TRUNCATED_MIN_SIDE, 100):
+            x = rng.standard_normal((side, side, 4))
+            penalties.slice_svd(x, u)
+            svt(x, 1.0, u, hint=SubspaceHint())
+        # side 63: slice_svd and svt's own slice_svd; from 64 on neither splits
+        assert blocks == [2, 2, 2, 2]
 
     def test_results_do_not_depend_on_the_cpu_count(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -803,9 +909,11 @@ class TestSplitSVD:
         monkeypatch.setattr(penalties, "_svd_block", slow)
         x = np.random.default_rng(4).standard_normal((32, 32, 5))
         x[0, 0, bad] = np.nan
+        before = blas_count()
         with pytest.raises(np.linalg.LinAlgError):
             penalties.slice_svd(x, identity_transform(5))
         assert sorted(finished) == [2, 3]
+        assert blas_count() == before
 
     def test_one_cpu_makes_no_pool(self, monkeypatch):
         monkeypatch.setattr(penalties, "_usable_cpus", lambda: 1)
@@ -832,6 +940,18 @@ class TestSplitSVD:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(penalties, "ThreadPoolExecutor", Counted)
+        # every change of OpenBLAS's thread count, with the splits then in flight
+        found, log = penalties._openblas_threads(), []
+        if found:
+            get, put = found
+            before = get()
+            put(2)
+
+            def recorded_put(count):
+                log.append((count, penalties._in_flight))
+                put(count)
+
+            monkeypatch.setattr(penalties, "_openblas", (get, recorded_put))
         u = dct_transform(5)
         x = np.random.default_rng(6).standard_normal((32, 32, 5))
         whole = np.linalg.svd(top._slices_first(top.apply_transform(x, u)), full_matrices=False)
@@ -851,12 +971,57 @@ class TestSplitSVD:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
+            after = blas_count()
         finally:
             sys.setswitchinterval(interval)
+            if found:
+                put(before)
         assert not any(thread.is_alive() for thread in threads)
         assert len(equal) == 8 * 20 * 3 and all(equal)
         assert len(made) == 1
         made[0].shutdown()
+        # each time splits overlap, the first saves the count and sets 1 and
+        # the last restores it, once, when none is left in flight
+        if found:
+            assert log and log == [(1, 0), (2, 0)] * (len(log) // 2)
+            assert after == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_during_a_split_restores_the_saved_count(self, blas):
+        # the child has none of the split's threads: it clears the split in
+        # flight, restores the count the split saved, and splits on a pool of its own
+        script = (
+            "import os, threading, numpy as np\n"
+            "from ttlearn import penalties\n"
+            "from ttlearn.transforms import dct_transform\n"
+            "penalties._usable_cpus = lambda: 2\n"
+            "get, put = penalties._openblas_threads()\n"
+            "put(3)\n"
+            "entered, release, real = threading.Event(), threading.Event(), penalties._svd_block\n"
+            "def held(block):\n"
+            "    if threading.current_thread().name == 'held':\n"
+            "        entered.set()\n"
+            "        release.wait(60)\n"
+            "    return real(block)\n"
+            "penalties._svd_block = held\n"
+            "x, u = np.ones((32, 32, 4)), dct_transform(4)\n"
+            "thread = threading.Thread(target=penalties.slice_svd, args=(x, u), name='held')\n"
+            "thread.start()\n"
+            "assert entered.wait(60) and get() == 1 and penalties._in_flight == 1\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    ok = (get(), penalties._in_flight, penalties._pool) == (3, 0, None)\n"
+            "    penalties.slice_svd(x, u)\n"
+            "    ok = ok and penalties._pool is not None and get() == 3\n"
+            "    os._exit(0 if ok else 1)\n"
+            "release.set()\n"
+            "thread.join(60)\n"
+            "assert os.waitpid(pid, 0)[1] == 0 and get() == 3\n"
+        )
+        src = os.path.dirname(os.path.dirname(penalties.__file__))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_splits_on_a_pool_of_its_own(self):
