@@ -214,18 +214,18 @@ def _split_svd(batch: np.ndarray):
     any split is in flight OpenBLAS runs one thread, in the whole process:
     the first split to start saves the count and sets 1, and the last to
     finish restores it. Each slice gets the same LAPACK call on the same
-    input as in one whole call, so the factors are bit for bit the whole
-    call's wherever OpenBLAS's result does not depend on its thread count
-    (up to 100x100 slices at least; 200x200 slices move at rounding level).
-    A failed block raises only after every block has finished.
+    input as in one whole call. A failed block raises only after every
+    block has finished.
     """
     global _pool, _in_flight, _saved_threads
     n3, n1, n2 = batch.shape
     side = min(n1, n2)
     blocks = min(n3, _usable_cpus()) if side >= SPLIT_MIN_SIDE else 1
-    if blocks == 1 or (side >= TRUNCATED_MIN_SIDE and not _openblas_threads()):
+    if blocks == 1:
         return None
     blas = _openblas_threads()
+    if side >= TRUNCATED_MIN_SIDE and not blas:
+        return None
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="ttlearn-svd")
@@ -494,9 +494,10 @@ def svt(
     root-sum-square of the kept residuals, ``sqrt(r) * RITZ_RESIDUAL_TOL``
     times the slice's Frobenius norm at most, of the full one. When the hint
     is empty or does not fit, or the certificate fails, the call falls back
-    to the full SVD. Either way the call leaves its own subspace in the hint.
-    Every factorization goes through ``numpy.linalg.svd``. Any given hint
-    also receives the factors of the result (see :class:`SubspaceHint`).
+    to the full SVD, split across the CPUs as in :func:`slice_svd`. Either
+    way the call leaves its own subspace in the hint. Every factorization
+    goes through ``numpy.linalg.svd``. Any given hint also receives the
+    factors of the result (see :class:`SubspaceHint`).
 
     ``factors``, if given, is a thin SVD ``(U, S, Vh)`` of ``a``'s
     transformed slices, values descending per slice, laid out like
