@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ttlearn.tensor_ops as top
 from ttlearn import penalties
+from ttlearn.losses import CompletionLoss
 from ttlearn.penalties import (
     SPLIT_MIN_SIDE,
     SUBSPACE_OVERSAMPLE,
@@ -21,7 +22,6 @@ from ttlearn.penalties import (
     penalty_value,
     svt,
 )
-from ttlearn.losses import CompletionLoss
 from ttlearn.solver import ADMMConfig, PMMConfig, pmm_solve
 from ttlearn.tasks import synth_completion
 from ttlearn.transforms import dct_transform, identity_transform
