@@ -6,9 +6,10 @@ states only its convex differentiable s2, so s2'(0) = 0, and mcp and scad share
 one (see Penalty). The solver linearizes s2 and keeps the nuclear-norm part s1,
 whose prox is thresholding (svt).
 
-slice_svd, and svt's full SVD, factorize a batch of slices of side 16 or more
-as one block per usable CPU, the first on the calling thread and the others on
-a thread pool made on the first such call. While a split runs, NumPy's bundled
+Every full SVD of a batch of slices, slice_svd's and svt's, goes through
+_factorize. It factorizes a batch of slices of side 16 or more as one block
+per usable CPU, the first on the calling thread and the others on a thread
+pool made on the first such call. While a split runs, NumPy's bundled
 OpenBLAS runs one thread in the whole process, and the count it had is
 restored when the last split ends. The factors are bit for bit one whole
 call's, on any number of CPUs, for slices up to 100x100; at 200x200 OpenBLAS's
@@ -17,6 +18,7 @@ own result depends on its thread count, so they move at rounding level.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -169,7 +171,6 @@ _pool_lock = threading.Lock()
 # the first of them replaced with 1 (None when it set nothing)
 _in_flight = 0
 _saved_threads: int | None = None
-_openblas = None  # (get, set) of the thread count, () when NumPy's BLAS has none
 
 
 def _usable_cpus() -> int:
@@ -179,6 +180,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
 def _openblas_threads():
     """The getter and setter of the thread count of NumPy's bundled OpenBLAS, or ``()``.
 
@@ -186,19 +188,15 @@ def _openblas_threads():
     holds NumPy's LAPACK calls. The per-thread ``openblas_set_num_threads_local``
     is not used: in NumPy's build it moves the global count too.
     """
-    global _openblas
-    if _openblas is None:
-        try:
-            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            _openblas = ()
-        else:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            _openblas = get, put
-    return _openblas
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def _svd_block(block: np.ndarray):
@@ -207,25 +205,25 @@ def _svd_block(block: np.ndarray):
     return np.linalg.svd(block, full_matrices=False)
 
 
-def _split_svd(batch: np.ndarray):
-    """Thin SVD of ``batch`` split into blocks of slices, or ``None`` if it does not split.
+def _factorize(batch: np.ndarray):
+    """Thin SVD ``(U, S, Vh)`` of a ``(n3, n1, n2)`` batch: one call, or a block per CPU.
 
-    The first block runs on this thread and the others on the pool. While
-    any split is in flight OpenBLAS runs one thread, in the whole process:
-    the first split to start saves the count and sets 1, and the last to
-    finish restores it. Each slice gets the same LAPACK call on the same
-    input as in one whole call. A failed block raises only after every
-    block has finished.
+    The batch takes one whole call when it would make one block, or when
+    its shorter side is at least ``TRUNCATED_MIN_SIDE`` and OpenBLAS's
+    thread count cannot be set. Otherwise the first block runs on this
+    thread and the others on the pool. While any split is in flight
+    OpenBLAS runs one thread, in the whole process: the first split to
+    start saves the count and sets 1, and the last to finish restores it.
+    Each slice gets the same LAPACK call on the same input as in one whole
+    call. A failed block raises only after every block has finished.
     """
     global _pool, _in_flight, _saved_threads
     n3, n1, n2 = batch.shape
     side = min(n1, n2)
     blocks = min(n3, _usable_cpus()) if side >= SPLIT_MIN_SIDE else 1
-    if blocks == 1:
-        return None
-    blas = _openblas_threads()
-    if side >= TRUNCATED_MIN_SIDE and not blas:
-        return None
+    blas = _openblas_threads() if blocks > 1 else ()
+    if blocks == 1 or side >= TRUNCATED_MIN_SIDE and not blas:
+        return np.linalg.svd(batch, full_matrices=False)
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="ttlearn-svd")
@@ -273,11 +271,9 @@ def slice_svd(x: np.ndarray, u: OrthogonalTransform):
 
     A batch of two or more slices of side ``SPLIT_MIN_SIDE`` or more is
     split across the CPUs at one OpenBLAS thread per block (see
-    :func:`_split_svd`), with the same bits as one call.
+    :func:`_factorize`), with the same bits as one call.
     """
-    batch = _slices_first(apply_transform(x, u))
-    split = _split_svd(batch)
-    return np.linalg.svd(batch, full_matrices=False) if split is None else split
+    return _factorize(_slices_first(apply_transform(x, u)))
 
 
 def slice_svd_update(factors, e: np.ndarray, u: OrthogonalTransform):
@@ -494,10 +490,10 @@ def svt(
     root-sum-square of the kept residuals, ``sqrt(r) * RITZ_RESIDUAL_TOL``
     times the slice's Frobenius norm at most, of the full one. When the hint
     is empty or does not fit, or the certificate fails, the call falls back
-    to the full SVD, split across the CPUs as in :func:`slice_svd`. Either
-    way the call leaves its own subspace in the hint. Every factorization
-    goes through ``numpy.linalg.svd``. Any given hint also receives the
-    factors of the result (see :class:`SubspaceHint`).
+    to the full SVD of :func:`_factorize`, split across the CPUs as in
+    :func:`slice_svd`. Either way the call leaves its own subspace in the
+    hint. Every factorization goes through ``numpy.linalg.svd``. Any given
+    hint also receives the factors of the result (see :class:`SubspaceHint`).
 
     ``factors``, if given, is a thin SVD ``(U, S, Vh)`` of ``a``'s
     transformed slices, values descending per slice, laid out like
@@ -515,10 +511,7 @@ def svt(
         return a.copy()
 
     side = min(a.shape[:2])
-    if hint is None or side < TRUNCATED_MIN_SIDE:
-        if factors is None:
-            factors = slice_svd(a, u)
-    else:
+    if hint is not None and side >= TRUNCATED_MIN_SIDE:
         batch = np.ascontiguousarray(_slices_first(apply_transform(a, u)))
         fro2 = np.einsum("sij,sij->s", batch, batch)
         if factors is None:
@@ -526,12 +519,12 @@ def svt(
             if hint.basis is not None and hint.basis.shape[:2] == (batch.shape[0], batch.shape[2]):
                 found = _truncated_svt(batch, tau, hint.basis, fro2, hint.steps)
             if found is None:
-                factors = _split_svd(batch)
-                if factors is None:
-                    factors = np.linalg.svd(batch, full_matrices=False)
+                factors = _factorize(batch)
             else:
                 factors, hint.steps = found
         hint._remember(factors, tau, side, fro2)
+    elif factors is None:
+        factors = slice_svd(a, u)
     left, sigma, right_h = factors
     shrunk = (left, np.maximum(sigma - tau, 0.0), right_h)
     if hint is not None:

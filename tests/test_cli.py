@@ -308,6 +308,24 @@ def test_numerical_divergence_exits_two(tmp_path, monkeypatch, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""], ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", [
+    ["complete", "--synthetic", "--max-outer", "1", "--results"],
+    ["synth", "--task", "complete", "--out-prefix"],
+], ids=["complete", "synth"])
+def test_an_allocation_failure_exits_one_with_one_error_line(
+    command, message, tmp_path, monkeypatch, capsys
+):
+    # stands in for an instance too large to allocate, which is not allocated here
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tasks, "build_transform", exhausted)
+    assert run_cli([*command, str(tmp_path / "x"), "--dims", "99999x99999x99999"]) == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_supplies_paths_and_params(tmp_path):
     rng = np.random.default_rng(8)
     truth = rng.standard_normal((6, 6, 2))

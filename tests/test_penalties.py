@@ -836,7 +836,7 @@ class TestSplitSVD:
             log.append((count, penalties._in_flight, second_done.is_set()))
             put(count)
 
-        monkeypatch.setattr(penalties, "_openblas", (get, recorded_put))
+        monkeypatch.setattr(penalties, "_openblas_threads", lambda: (get, recorded_put))
         real = penalties._svd_block
 
         def held(block):
@@ -870,7 +870,7 @@ class TestSplitSVD:
             assert all(np.array_equal(a, b) for a, b in zip(factors, whole))
 
     def test_without_a_thread_setter_slices_from_64_take_one_call(self, blocks, monkeypatch):
-        monkeypatch.setattr(penalties, "_openblas", ())
+        monkeypatch.setattr(penalties, "_openblas_threads", lambda: ())
         rng = np.random.default_rng(8)
         u = dct_transform(4)
         for side in (TRUNCATED_MIN_SIDE - 1, TRUNCATED_MIN_SIDE, 100):
@@ -951,7 +951,7 @@ class TestSplitSVD:
                 log.append((count, penalties._in_flight))
                 put(count)
 
-            monkeypatch.setattr(penalties, "_openblas", (get, recorded_put))
+            monkeypatch.setattr(penalties, "_openblas_threads", lambda: (get, recorded_put))
         u = dct_transform(5)
         x = np.random.default_rng(6).standard_normal((32, 32, 5))
         whole = np.linalg.svd(top._slices_first(top.apply_transform(x, u)), full_matrices=False)

@@ -171,7 +171,7 @@ def test_svd_census_lines_sum_to_totals_that_match_an_independent_count(
     ]
     # the data transform's own SVD is charged apart from the solver's
     assert {caller for *_, caller in parsed} == {
-        "penalties.slice_svd", "transforms.data_driven_transform"
+        "penalties._factorize", "transforms.data_driven_transform"
     }
     calls, slices, name = total.split()
     assert name == "total"
@@ -201,6 +201,33 @@ def test_svd_census_charges_split_blocks_inside_ttlearn(tmp_path, monkeypatch, c
     assert {(caller, shape) for *_, caller, shape in parsed} == {
         ("penalties._svd_block", "(3, 32, 32)"), ("penalties._svd_block", "(2, 32, 32)")
     }
+    calls, slices, name = total.split()
+    assert int(calls) == sum(row[0] for row in parsed) == len(seen)
+    assert int(slices) == sum(row[1] for row in parsed) == sum(
+        int(np.prod(shape[:-2])) for shape in seen
+    )
+
+
+def test_svd_census_charges_unsplit_full_svds_to_the_one_factorization_site(
+    tmp_path, monkeypatch, capsys
+):
+    # pinned digest command [46] on one CPU: x0's slice_svd and every full SVD
+    # svt falls back to are whole (4, 72, 72) calls, all made by _factorize
+    real_svd, seen = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(penalties, "_usable_cpus", lambda: 1)
+    argv = ["complete", "--synthetic", "--dims", "72x72x4", "--rank", "2", "--sr", "0.5",
+            "--seed", "3", "--max-outer", "8", "--results", str(tmp_path / "r.json")]
+    assert load_tool("svd_census").main(argv) == 0
+    header, *rows, total = capsys.readouterr().out.splitlines()
+    parsed = [(int(calls), int(slices), caller, shape)
+              for calls, slices, caller, shape in (row.split(None, 3) for row in rows)]
+    assert parsed == [(10, 40, "penalties._factorize", "(4, 72, 72)")]
     calls, slices, name = total.split()
     assert int(calls) == sum(row[0] for row in parsed) == len(seen)
     assert int(slices) == sum(row[1] for row in parsed) == sum(
