@@ -35,8 +35,10 @@ subproblem's solution is the nearer start and ADMM warm-starts from it. The
 solve starts from ``x0`` projected onto the box.
 
 Above the threshold each step backtracks its own proximal weight
-``rho_t <= rho`` (Beck & Teboulle, 2009); below it ``rho`` stays fixed and
-every step is one damped ADMM solve. :func:`pmm_solve` gives the rules.
+``rho_t <= rho`` (Beck & Teboulle, 2009), and the next step starts lower
+only where the kept step's measured curvature allows it (Scheinberg,
+Goldfarb & Bai, 2014); below it ``rho`` stays fixed and every step is one
+damped ADMM solve. :func:`pmm_solve` gives the rules.
 """
 from __future__ import annotations
 
@@ -459,8 +461,12 @@ def pmm_solve(
     the descent threshold, where ``rho`` stays fixed; above it,
     ``trial_step`` at ``rho_t < rho`` and ``step_at_rho``. Each step's
     ``rho_t`` is seeded at ``rho_0 = rho``; a rejected trial retries at
-    ``min(2 rho_t, rho)``, and a first trial kept inside the box halves the
-    next step's ``rho_t``. Above the threshold no step may raise the
+    ``min(2 rho_t, rho)``. The next step starts at ``rho_t/2`` when the step
+    kept its first trial inside the box and its measured curvature
+    ``c_t = 2(f(x_{t+1}) - f(x_t) - <grad f(x_t), Delta>)/||Delta||^2`` (0 for
+    ``Delta = 0``) is at most ``rho_t/2``: the kept step passes the halved
+    weight's own local check, so that weight is not bound to fail at once.
+    Otherwise it starts at ``rho_t``. Above the threshold no step may raise the
     objective (beyond 1e-9), and ``descent_margin`` is the least ``a_t`` in
     ``F(x_{t+1}) + a_t ||x_{t+1} - x_t||^2 <= F(x_t)``. With ``Delta = y - x_t``
     and ``gain = <slope, Delta> + weight * (||y||_* - ||x_t||_*)``,
@@ -639,9 +645,13 @@ def pmm_solve(
         trace.descent_margin = min(trace.descent_margin, step.margin)
         trace.entries.append(step.entry)
         # an exact move kept inside the box at the first trial (a damped step
-        # never returns m itself): the next step tries half the weight
+        # never returns m itself) that passes the halved weight's local check,
+        # i.e. its curvature c_t is at most rho_t/2: the next step tries half
+        # the weight
         if trials == 1 and step.x is step.m:
-            rho_t /= 2
+            linear = loss_x + np.vdot(grad_f, step.x - x)
+            if step.loss <= linear + rho_t / 4 * step.entry.step_norm**2:
+                rho_t /= 2
         x, factors, loss_x, objective = step.x, step.factors, step.loss, step.entry.objective
         warm, step_norm = (step.m, step.x, step.z), step.entry.step_norm
         if step.entry.rel_step <= pmm_cfg.tol_outer:

@@ -1258,8 +1258,9 @@ class TestLocalStepWeight:
         assert np.array_equal(x, ref_x)
 
     def test_a_binding_move_below_rho_is_retried_at_twice_the_weight(self, monkeypatch):
-        # a box just inside the observed peak: steps kept inside the box halve
-        # the next step's rho_t, and a trial below rho whose move binds the
+        # a box just inside the observed peak: a step kept inside the box at its
+        # first trial halves the next step's rho_t when its measured curvature
+        # c_t is at most rho_t/2, and a trial below rho whose move binds the
         # box (comes back off m) and fails a check is retried at min(2 rho_t, rho)
         u = dct_transform(2)
         _, y_obs, mask = synth_completion((8, 8, 2), 1, 0.6, 0.01, u, seed=2)
@@ -1276,10 +1277,11 @@ class TestLocalStepWeight:
             return out
 
         monkeypatch.setattr(solver, "admm_subproblem", recorded)
-        _, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(), y_obs)
+        x, trace = pmm_solve(loss, pen, u, cfg, ADMMConfig(), y_obs)
         assert trace.descent_checked and len(steps) == len(trace.entries)
-        retried, rho_t = 0, cfg.rho
-        for (_, calls), entry in zip(steps, trace.entries):
+        iterates = [xt for xt, _ in steps] + [x]
+        retried, held, rho_t = 0, [], cfg.rho
+        for t, ((_, calls), entry) in enumerate(zip(steps, trace.entries)):
             trials = [call for call in calls if call[2]]
             assert trials[0][0] == rho_t and len(trials) == entry.trials
             for (rho, budget, _, inside), after in zip(trials, trials[1:]):
@@ -1289,8 +1291,17 @@ class TestLocalStepWeight:
                 retried += not inside
             assert trials[-1][0] == entry.rho
             kept_first_inside = calls == [(rho_t, 1 if rho_t < cfg.rho else 100, True, True)]
-            rho_t = entry.rho / 2 if kept_first_inside else entry.rho
+            xt, x_new = iterates[t], iterates[t + 1]
+            delta = x_new - xt
+            square = top.fro_norm(delta) ** 2
+            linear = loss.value(xt) + np.vdot(loss.grad(xt), delta)
+            c = 2 * (loss.value(x_new) - linear) / square if square > 0 else 0.0
+            if kept_first_inside and c > entry.rho / 2:
+                held.append(t)
+            rho_t = entry.rho / 2 if kept_first_inside and c <= entry.rho / 2 else entry.rho
         assert retried > 0
+        # the curvature gate keeps rho_t after a first trial kept inside the box
+        assert held
 
     @settings(max_examples=40)
     @given(
@@ -1335,10 +1346,13 @@ class TestLocalStepWeight:
             assert objectives[t + 1] + rho_t / 2 * entry.step_norm**2 <= objectives[t] + 1e-9
 
     def test_a_binding_trial_that_fails_a_cheap_check_costs_no_slice_svd(self, monkeypatch):
-        # complete-small's MCP solve: its binding trials below rho fail the local
-        # check, so only the measured check of a kept move pays a factorization
+        # criterion 8's MCP solve at seed 3: its binding trials below rho fail the
+        # local check, so only the measured check of a kept move pays a
+        # factorization. complete-small's instance (seed 0) makes one such trial
+        # since the next step's weight is halved only when the kept step's
+        # curvature allows it; seed 3 makes four
         u = dct_transform(10)
-        _, y_obs, mask = synth_completion((30, 30, 10), 2, 0.4, 0.01, u, seed=0)
+        _, y_obs, mask = synth_completion((30, 30, 10), 2, 0.4, 0.01, u, seed=3)
         loss = CompletionLoss(y_obs, mask)
         cfg = PMMConfig(rho=6.0, beta=1.0, box_c=1.05 * top.inf_norm(y_obs))
         admm = ADMMConfig(tol_inner=3e-4)
