@@ -50,7 +50,7 @@ def test_against_reports_each_differing_result_field():
     new = {
         "task": "classify",
         "trace": {
-            "initial_objective": 2.0,
+            "initial_objective": 2.0 - 2**-50,
             "entries": [{"objective": 1.0 + 2**-52, "feasible": True},
                         {"objective": 1.0 + 2**-50, "feasible": False}],
         },
@@ -69,7 +69,9 @@ def test_against_reports_each_differing_result_field():
         "  - result r1",
         "  + result r2",
         "  ~ task DIFF",
-        "  ~ trace.entries[*].objective 8.9e-16",
+        # signed: + where the new value is the larger
+        "  ~ trace.initial_objective -4.4e-16",
+        "  ~ trace.entries[*].objective +8.9e-16",
         "  ~ trace.entries[*].feasible DIFF",
         "  ~ ranks DIFF",
         "  ~ removed REMOVED",
@@ -79,6 +81,10 @@ def test_against_reports_each_differing_result_field():
         "  - stdout s",
         "  + stdout t",
     ]
+    # a path keeps the difference of largest magnitude, with its sign
+    assert tool.field_differences({"e": [1.0 + 2**-52, 1.0 - 2**-50]}, {"e": [1.0, 1.0]}) == {
+        "e[*]": -(2**-50)
+    }
 
 
 def test_against_compares_fields_only_when_both_trees_wrote_a_result():
@@ -227,7 +233,7 @@ def test_svd_census_charges_unsplit_full_svds_to_the_one_factorization_site(
     header, *rows, total = capsys.readouterr().out.splitlines()
     parsed = [(int(calls), int(slices), caller, shape)
               for calls, slices, caller, shape in (row.split(None, 3) for row in rows)]
-    assert parsed == [(10, 40, "penalties._factorize", "(4, 72, 72)")]
+    assert parsed == [(9, 36, "penalties._factorize", "(4, 72, 72)")]
     calls, slices, name = total.split()
     assert int(calls) == sum(row[0] for row in parsed) == len(seen)
     assert int(slices) == sum(row[1] for row in parsed) == sum(

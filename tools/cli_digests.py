@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 46 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 47 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -21,8 +21,10 @@ any does, 0 if the two trees give byte-identical results, files and
 messages. Under a command whose ``result`` line differs and for which both
 trees wrote a result JSON, one ``~`` line per differing JSON path (list
 indices shown as ``[*]``) gives the largest relative difference at that
-path, ``DIFF`` for a non-numeric change, or ``ADDED`` or ``REMOVED`` for a
-path that only the ``DIR`` or only the ``OTHER_SRC`` result has.
+path with its sign, ``+`` when the ``DIR`` value is the larger (as in
+``+8.9e-16``), ``DIFF`` for a non-numeric change, or ``ADDED`` or
+``REMOVED`` for a path that only the ``DIR`` or only the ``OTHER_SRC``
+result has.
 """
 from __future__ import annotations
 
@@ -159,6 +161,11 @@ COMMANDS = [
     # full SVD of svt split when the BLAS thread count can be set
     ["complete", "--synthetic", "--dims", "72x72x4", "--rank", "2", "--sr", "0.5", "--seed", "3",
      "--max-outer", "8"],
+    # complete-small's MCP solve: a step kept inside the box at its first trial
+    # halves the next weight only when its measured curvature allows it
+    ["complete", "--synthetic", "--dims", "30x30x10", "--rank", "2", "--sr", "0.4", "--sigma",
+     "0.01", "--seed", "0", "--lambda", "4", "--gamma", "2.7", "--beta", "1", "--rho", "6",
+     "--tol-inner", "3e-4"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
@@ -247,7 +254,10 @@ def _finite_number(value) -> bool:
 
 
 def field_differences(new, old, path: str = "", found: dict | None = None) -> dict:
-    """Largest relative difference per JSON path of two results, ``"DIFF"`` if not numeric.
+    """Largest signed relative difference per JSON path of two results, ``"DIFF"`` if not numeric.
+
+    A difference is positive when ``new`` is the larger value; the one of
+    largest magnitude at a path is kept.
 
     A key that only ``new`` has is ``"ADDED"``, one that only ``old`` has
     ``"REMOVED"``. List indices collapse to ``[*]``; equal values and paths
@@ -268,9 +278,10 @@ def field_differences(new, old, path: str = "", found: dict | None = None) -> di
             field_differences(a, b, f"{path}[*]", found)
     elif _finite_number(new) and _finite_number(old):
         if new != old:
-            previous = found.get(path, 0.0)
-            rel = abs(new - old) / max(abs(new), abs(old))
-            found[path] = previous if isinstance(previous, str) else max(previous, rel)
+            rel = (new - old) / max(abs(new), abs(old))
+            previous = found.setdefault(path, rel)
+            if not isinstance(previous, str) and abs(rel) > abs(previous):
+                found[path] = rel
     elif json.dumps(new) != json.dumps(old):
         found[path] = "DIFF"
     return found
@@ -295,7 +306,7 @@ def differences(ours, theirs) -> tuple[list[str], int]:
         report += [f"  + {line}" for line in new if line not in old]
         if new_json and old_json and None not in (new_json[0], old_json[0]):
             for path, diff in field_differences(new_json[0], old_json[0]).items():
-                report.append(f"  ~ {path} {diff}" if isinstance(diff, str) else f"  ~ {path} {diff:.1e}")
+                report.append(f"  ~ {path} {diff}" if isinstance(diff, str) else f"  ~ {path} {diff:+.1e}")
     return report, differ
 
 
