@@ -1348,9 +1348,9 @@ class TestLocalStepWeight:
     def test_a_binding_trial_that_fails_a_cheap_check_costs_no_slice_svd(self, monkeypatch):
         # criterion 8's MCP solve at seed 3: its binding trials below rho fail the
         # local check, so only the measured check of a kept move pays a
-        # factorization. complete-small's instance (seed 0) makes one such trial
-        # since the next step's weight is halved only when the kept step's
-        # curvature allows it; seed 3 makes four
+        # factorization. complete-small's instance (seed 0) makes only one such
+        # trial, as a kept step halves the next weight only when its curvature
+        # allows it; seed 3 makes four
         u = dct_transform(10)
         _, y_obs, mask = synth_completion((30, 30, 10), 2, 0.4, 0.01, u, seed=3)
         loss = CompletionLoss(y_obs, mask)
