@@ -52,7 +52,8 @@ class ExperimentConfig:
     transform: str = "dct"
     beta: float = 1.0
     rho: float | None = None  # None becomes the task's TASK_RHO on construction
-    box_c: float | None = None  # None: CLASSIFY_BOX_C (classify); run_completion's data box
+    # None: CLASSIFY_BOX_C (classify), or COMPLETE_BOX_FACTOR times the observed peak (complete)
+    box_c: float | None = None
     max_outer: int = PMMConfig.max_outer
     tol_inner: float = ADMMConfig.tol_inner
     sr: float = 0.4
