@@ -484,8 +484,9 @@ def pmm_solve(
     :func:`~ttlearn.penalties.slice_svd`. A non-finite iterate, a
     multiplier ``z*`` whose norm overflows (``rho`` near the float range times
     the rounding of ``v - y*``) or an SVD of :func:`admm_subproblem` that
-    fails (``LinAlgError``) raises :class:`NumericalDivergenceError`. Overflow
-    warns nowhere in the solve: those checks report it.
+    fails (``LinAlgError``) raises :class:`NumericalDivergenceError`, and so
+    does a non-finite objective, initial or after any step, on every path.
+    Overflow warns nowhere in the solve: those checks report it.
     """
     x = project_box(as_tensor3(x0), pmm_cfg.box_c)
 
@@ -505,6 +506,8 @@ def pmm_solve(
         # no step records a margin above rho/2
         descent_margin=pmm_cfg.rho / 2 if descent_ok else 0.0,
     )
+    if not np.isfinite(objective):
+        raise NumericalDivergenceError("the initial objective is not finite", trace)
     warm = None
     hint = SubspaceHint()
     weight = pmm_cfg.beta * pen.slope
@@ -639,6 +642,8 @@ def pmm_solve(
         else:
             step = step_at_rho() if descent_ok else damped_step()
 
+        if not np.isfinite(step.entry.objective):
+            raise NumericalDivergenceError("the objective is not finite", trace)
         if descent_ok and step.entry.objective > objective + DESCENT_SLACK:
             increase = step.entry.objective - objective
             raise DescentViolationError(f"objective increased by {increase:.3e}", trace)

@@ -586,6 +586,31 @@ def test_overflowing_data_above_the_threshold_exits_two_without_warnings(sigma, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:rho=.*descent is not guaranteed")
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["complete", "--synthetic", "--dims", "8x8x4", "--seed", "1", "--max-outer", "1",
+          "--lambda", "1e-300", "--beta", "1e-300", "--rho", "0.5", "--box-c", "0.5",
+          "--transform", "identity", "--sigma", "1e200"], "the initial objective is not finite"),
+        (["classify", "--synthetic", "--dims", "5x5x3", "--seed", "3", "--max-outer", "5",
+          "--beta", "1.7e308", "--rho", "1e-12", "--box-c", "1e12", "--n-train", "2",
+          "--n-test", "10", "--rank", "2"], "the objective is not finite"),
+        (["complete", "--synthetic", "--dims", "4x5x2", "--seed", "2", "--max-outer", "5",
+          "--beta", "1.7e308", "--rho", "0.5", "--box-c", "1e150", "--penalty", "mcp",
+          "--sigma", "0.01", "--sr", "0.3"], "the initial objective is not finite"),
+    ],
+    ids=["complete-initial", "classify-step", "complete-mcp-initial"],
+)
+def test_a_non_finite_objective_on_the_damped_path_exits_two(argv, message, tmp_path, capsys):
+    # the damped path has no monotone check; these solves used to exit 0 and
+    # write Infinity, which is not JSON, as an objective
+    out = tmp_path / "out.json"
+    assert run_cli([*argv, "--results", str(out)]) == 2
+    assert capsys.readouterr().err == f"numerical divergence: {message}\n"
+    assert not out.exists()
+
+
 # runs the CLI with two usable CPUs and fails unless an SVD was split across them
 SPLIT_CLI = (
     "import sys; from ttlearn import penalties; penalties._usable_cpus = lambda: 2; "

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digests of a fixed set of 47 ttlearn CLI commands, for byte-identity checks.
+"""Digests of a fixed set of 50 ttlearn CLI commands, for byte-identity checks.
 
     python3 tools/cli_digests.py [--src DIR] > digests.txt
     python3 tools/cli_digests.py [--src DIR] --against OTHER_SRC
@@ -166,6 +166,18 @@ COMMANDS = [
     ["complete", "--synthetic", "--dims", "30x30x10", "--rank", "2", "--sr", "0.4", "--sigma",
      "0.01", "--seed", "0", "--lambda", "4", "--gamma", "2.7", "--beta", "1", "--rho", "6",
      "--tol-inner", "3e-4"],
+    # objectives that overflow on the damped path, which has no monotone check:
+    # exit 2, where the initial objective ([48], [50]) or a step's ([49]) used
+    # to be written as Infinity
+    ["complete", "--synthetic", "--dims", "8x8x4", "--seed", "1", "--max-outer", "1",
+     "--lambda", "1e-300", "--beta", "1e-300", "--rho", "0.5", "--box-c", "0.5",
+     "--transform", "identity", "--sigma", "1e200"],
+    ["classify", "--synthetic", "--dims", "5x5x3", "--seed", "3", "--max-outer", "5",
+     "--beta", "1.7e308", "--rho", "1e-12", "--box-c", "1e12", "--n-train", "2", "--n-test",
+     "10", "--rank", "2"],
+    ["complete", "--synthetic", "--dims", "4x5x2", "--seed", "2", "--max-outer", "5",
+     "--beta", "1.7e308", "--rho", "0.5", "--box-c", "1e150", "--penalty", "mcp",
+     "--sigma", "0.01", "--sr", "0.3"],
 ]
 # seconds before a command is killed and reported as ``exit timeout``; the
 # slowest pinned command takes a few seconds
